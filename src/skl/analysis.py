@@ -20,12 +20,9 @@ from .bivariate import BivariateConfig, window_deltas
 from .errors import DomainError
 from .modulus import (
     DEFAULT_SURFACE_POINTS,
-    ModulusEstimate,
     ModulusScan,
     SurfaceModulus,
-    modulus,
     modulus_scan,
-    partial_moduli,
     surface_modulus,
 )
 from .numerics import DEFAULT_SUP_GRID_POINTS, Grid, unit_grid
@@ -37,13 +34,6 @@ from .univariate import (
 )
 
 __all__ = [
-    "ModulusEstimate",
-    "ModulusScan",
-    "SurfaceModulus",
-    "modulus",
-    "modulus_scan",
-    "partial_moduli",
-    "surface_modulus",
     "LipschitzParams",
     "WeightedNormReport",
     "bound_thm33",

@@ -123,9 +123,9 @@ def basis_rows(params: BasisParams, ys) -> np.ndarray:
     they are masked to 0 before the products are formed.
     """
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    if not params.unchecked and arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        bad = float(arr[(arr < 0.0) | (arr > 1.0)][0])
-        raise DomainError(f"evaluation point {bad!r} outside [0, 1]")
+    outside = ~((arr >= 0.0) & (arr <= 1.0))
+    if not params.unchecked and outside.any():
+        raise DomainError(f"evaluation point {float(arr[outside][0])!r} outside [0, 1]")
     M = params.degree
     c1, c2, c3 = _coefficient_rows(M)
     idx = np.arange(M + 1)

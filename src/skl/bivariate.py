@@ -16,8 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .basis import basis_rows
-from .errors import EvaluationError
-from .numerics import Grid
+from .numerics import Grid, evaluate_on
 from .univariate import (
     CSV_FLOAT_FORMAT,
     OperatorConfig,
@@ -100,14 +99,7 @@ def _generic_window_integrals(config: BivariateConfig, g: Callable) -> np.ndarra
     out = np.empty((M1 + 1, M2 + 1))
     for i1 in range(M1 + 1):
         pts1 = (i1 + s1) / (c1.m + 1)
-        try:
-            values = np.asarray(g(pts1[:, None], flat2[None, :]), dtype=float)
-            if values.shape != (len(pts1), len(flat2)):
-                raise TypeError
-        except (TypeError, ValueError):
-            values = np.array([[float(g(a, b)) for b in flat2] for a in pts1])
-        if not np.all(np.isfinite(values)):
-            raise EvaluationError("target returned a non-finite value")
+        values = evaluate_on(g, pts1[:, None], flat2[None, :])
         # Contract the t1 axis, then the t2 axis inside each window.
         inner = w1 @ values
         out[i1] = inner.reshape(M2 + 1, n2) @ w2
@@ -339,15 +331,5 @@ def surface_table(
 ) -> SurfaceTable:
     """Evaluate operator and target over grid1 x grid2."""
     approx = np.atleast_2d(apply_bi(config, g, grid1.points, grid2.points))
-    try:
-        X, Y = np.meshgrid(grid1.points, grid2.points, indexing="ij")
-        exact = np.asarray(g(X, Y), dtype=float)
-        if exact.shape != X.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        exact = np.array(
-            [[float(g(a, b)) for b in grid2.points] for a in grid1.points]
-        )
-    if not np.all(np.isfinite(exact)):
-        raise EvaluationError("target returned a non-finite value")
+    exact = evaluate_on(g, *np.meshgrid(grid1.points, grid2.points, indexing="ij"))
     return SurfaceTable(y1s=grid1.points, y2s=grid2.points, approx=approx, exact=exact)

@@ -216,10 +216,7 @@ def main(argv=None) -> int:
     try:
         config = build_config(sys.argv[1:] if argv is None else argv)
         return run(config)
-    except (UsageError, ExpressionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, ExpressionError, DomainError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

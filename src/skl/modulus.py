@@ -2,21 +2,22 @@
 
 A modulus is estimated by sampling the function on a uniform grid and taking
 the largest max-min range over every window of points whose span stays within
-delta.  Grid estimates are lower bounds of the true modulus; callers that
-need a guaranteed upper bound must pad by a Lipschitz-times-step term.
+delta.  One kernel serves the univariate modulus and both partial moduli: it
+finds every window's max and min along one axis by log-step doubling, so a
+query costs O(n log window) vectorized work and keeps no state between calls.
+Grid estimates are lower bounds of the true modulus; callers that need a
+guaranteed upper bound must pad by a Lipschitz-times-step term.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .numerics import DEFAULT_SUP_GRID_POINTS, evaluate_on
 
 #: Per-axis sample count for bivariate partial moduli; 501**2 evaluations
@@ -42,12 +43,43 @@ class ModulusEstimate:
     grid_resolution: int
 
 
+def _window_length(delta: float, step: float) -> int:
+    """Samples in the longest run of grid points whose span stays within delta."""
+    if not math.isfinite(delta) or delta < 0.0:
+        raise DomainError("delta must be finite and >= 0")
+    if delta == 0.0:
+        return 1
+    return int(math.floor(delta / step + 1e-9)) + 1
+
+
+def _max_window_range(values: np.ndarray, window: int, axis: int = 0) -> float:
+    """Largest (max - min) over all runs of ``window`` consecutive samples along ``axis``.
+
+    Log-step doubling: each round leaves entry j holding the extreme of the
+    ``span`` samples from j on, and two overlapping spans cover each window.
+    """
+    window = min(window, values.shape[axis])
+    if window <= 1:
+        return 0.0
+    extremes = []
+    # Max first, min second, so only one doubling pyramid is alive at a time.
+    for pick in (np.maximum, np.minimum):
+        run, span = np.moveaxis(values, axis, 0), 1
+        while 2 * span <= window:
+            run = pick(run[:-span], run[span:])
+            span *= 2
+        shift = window - span
+        extremes.append(pick(run[: len(run) - shift], run[shift:]))
+    high, low = extremes
+    return float((high - low).max())
+
+
 @dataclass(frozen=True)
 class ModulusScan:
     """Sampled function values prepared for repeated modulus queries.
 
     Building the sample once and querying many deltas keeps each query at
-    O(grid) through a monotonic-deque sweep.
+    O(grid * log window) vectorized work, with no table stored between calls.
     """
 
     lo: float
@@ -64,42 +96,7 @@ class ModulusScan:
 
     def value_at(self, delta: float) -> float:
         """Estimated omega(f; delta) from the stored samples."""
-        if not math.isfinite(delta) or delta < 0.0:
-            raise DomainError("delta must be finite and >= 0")
-        if delta == 0.0:
-            return 0.0
-        window = int(math.floor(delta / self.step + 1e-9)) + 1
-        return _max_window_range(self.values, window)
-
-
-def _max_window_range(values: np.ndarray, window: int) -> float:
-    """Largest (max - min) over all length-``window`` runs of consecutive samples."""
-    n = len(values)
-    if window >= n:
-        return float(values.max() - values.min())
-    if window <= 1:
-        return 0.0
-    # Monotonic deques give every window's max and min in one O(n) pass.
-    best = 0.0
-    maxq: deque[int] = deque()
-    minq: deque[int] = deque()
-    for i in range(n):
-        while maxq and values[maxq[-1]] <= values[i]:
-            maxq.pop()
-        maxq.append(i)
-        while minq and values[minq[-1]] >= values[i]:
-            minq.pop()
-        minq.append(i)
-        start = i - window + 1
-        if start >= 0:
-            if maxq[0] < start:
-                maxq.popleft()
-            if minq[0] < start:
-                minq.popleft()
-            spread = values[maxq[0]] - values[minq[0]]
-            if spread > best:
-                best = spread
-    return float(best)
+        return _max_window_range(self.values, _window_length(delta, self.step))
 
 
 def modulus_scan(
@@ -142,39 +139,6 @@ def modulus(
     )
 
 
-def sample_surface(
-    g: Callable,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """g evaluated on the meshgrid of xs and ys, shape (len(xs), len(ys)).
-
-    Tries a vectorized call first and falls back to a scalar double loop for
-    functions that only accept floats.
-    """
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    try:
-        values = np.asarray(g(X, Y), dtype=float)
-        if values.shape != X.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.array([[float(g(float(x), float(y))) for y in ys] for x in xs])
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError("surface function returned a non-finite value")
-    return values
-
-
-def _axis_window_range(values: np.ndarray, window: int, axis: int) -> float:
-    """Largest windowed max-min sweep along one axis of a sampled surface."""
-    n = values.shape[axis]
-    if window >= n:
-        return float((values.max(axis=axis) - values.min(axis=axis)).max())
-    if window <= 1:
-        return 0.0
-    slabs = sliding_window_view(values, window_shape=window, axis=axis)
-    return float((slabs.max(axis=-1) - slabs.min(axis=-1)).max())
-
-
 @dataclass(frozen=True)
 class SurfaceModulus:
     """Sampled bivariate function prepared for partial-modulus queries.
@@ -197,20 +161,13 @@ class SurfaceModulus:
     def step2(self) -> float:
         return (self.hi2 - self.lo2) / (self.values.shape[1] - 1)
 
-    def _window(self, delta: float, step: float) -> int:
-        if not math.isfinite(delta) or delta < 0.0:
-            raise DomainError("delta must be finite and >= 0")
-        if delta == 0.0:
-            return 1
-        return int(math.floor(delta / step + 1e-9)) + 1
-
     def omega1(self, delta: float) -> float:
         """Modulus in the first coordinate with the second frozen."""
-        return _axis_window_range(self.values, self._window(delta, self.step1), axis=0)
+        return _max_window_range(self.values, _window_length(delta, self.step1), axis=0)
 
     def omega2(self, delta: float) -> float:
         """Modulus in the second coordinate with the first frozen."""
-        return _axis_window_range(self.values, self._window(delta, self.step2), axis=1)
+        return _max_window_range(self.values, _window_length(delta, self.step2), axis=1)
 
 
 def surface_modulus(
@@ -226,9 +183,10 @@ def surface_modulus(
         raise DomainError("count must be >= 2")
     if hi1 <= lo1 or hi2 <= lo2:
         raise DomainError("each hi must exceed its lo")
-    xs = np.linspace(lo1, hi1, count)
-    ys = np.linspace(lo2, hi2, count)
-    values = sample_surface(g, xs, ys)
+    X, Y = np.meshgrid(
+        np.linspace(lo1, hi1, count), np.linspace(lo2, hi2, count), indexing="ij"
+    )
+    values = evaluate_on(g, X, Y)
     values.setflags(write=False)
     return SurfaceModulus(lo1=lo1, hi1=hi1, lo2=lo2, hi2=hi2, values=values)
 

@@ -169,20 +169,23 @@ def composite_nodes(
     return _composite_cells(subdivisions, origin_levels)
 
 
-def evaluate_on(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array, falling back to a scalar loop.
+def evaluate_on(f: Callable, *xs: np.ndarray) -> np.ndarray:
+    """Evaluate ``f`` on arrays that broadcast together, one per argument.
 
-    Raises EvaluationError when any returned value is non-finite.
+    The result has the broadcast shape.  A function that rejects arrays or
+    returns another shape is called point by point instead.  Raises
+    EvaluationError when any returned value is non-finite.
     """
+    points = np.broadcast(*xs)
     try:
-        values = np.asarray(f(x), dtype=float)
-        if values.shape != x.shape:
+        values = np.asarray(f(*xs), dtype=float)
+        if values.shape != points.shape:
             raise TypeError
     except (TypeError, ValueError):
-        flat = np.fromiter((float(f(t)) for t in x.ravel()), dtype=float, count=x.size)
-        values = flat.reshape(x.shape)
+        flat = np.fromiter((float(f(*p)) for p in points), dtype=float, count=points.size)
+        values = flat.reshape(points.shape)
     if not np.all(np.isfinite(values)):
-        raise EvaluationError("integrand returned a non-finite value")
+        raise EvaluationError("function returned a non-finite value")
     return values
 
 

@@ -45,7 +45,7 @@ from .bivariate import (
 from .errors import UsageError
 from .functions import resolve_function
 from .modulus import surface_modulus
-from .numerics import Grid, unit_grid
+from .numerics import DEFAULT_SUP_GRID_POINTS, Grid, unit_grid
 from .reference import (
     FIGURE1_GRID_POINTS,
     FIGURE3_FUNCTION,
@@ -698,7 +698,7 @@ def _check_bounds(level: str) -> CheckResult:
     for m in uni_ms:
         config = _table1_ladder_config(m)
         table = error_curve(config, f, grid)
-        scan_step = config.sample_hi / 10_000
+        scan_step = config.sample_hi / (DEFAULT_SUP_GRID_POINTS - 1)
         pad = lf * scan_step
         margin = float((table.bounds + pad - table.errors).min())
         worst_margin = min(worst_margin, margin)

@@ -106,6 +106,8 @@ def test_parameter_validation():
         BasisParams(m=5, q=0, lam=1.5)
     with pytest.raises(DomainError):
         basis_row(BasisParams(m=5, q=0, lam=0.5), 1.2)
+    with pytest.raises(DomainError):
+        basis_row(BasisParams(m=5, q=0, lam=0.5), float("nan"))
     BasisParams(m=2, q=0, lam=0.0)  # smallest legal degree
 
 

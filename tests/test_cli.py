@@ -68,8 +68,14 @@ def test_main_usage_failures(capsys, tmp_path):
     assert main(["bounds", "--m", "10", "--thm", "99"]) == 1
     assert main(["eval", "--m", "10", "--u", "0.5", "--f", "y +"]) == 1
     assert main(["eval", "--m", "10", "--u", "1.5"]) == 1  # outside [0, 1]
+    # Arithmetic failures: a non-finite target, exact division by zero,
+    # float overflow in a constant, and binomial overflow at large m.
+    assert main(["eval", "--m", "10", "--u", "0.5", "--f", "y/0"]) == 1
+    assert main(["eval", "--m", "10", "--u", "0.5", "--f", "0/0"]) == 1
+    assert main(["eval", "--m", "10", "--u", "0.5", "--f", "10^400"]) == 1
+    assert main(["eval", "--m", "1100", "--u", "0.5"]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 9
+    assert err.count("error:") == 13
 
 
 def test_main_eval_point(capsys):

@@ -42,11 +42,13 @@ def test_modulus_monotone_in_delta():
 
 
 def test_scan_matches_brute_force(rng):
-    # Dual-route check of the deque sweep against the quadratic scan.
+    # Dual-route check of the doubling kernel against the quadratic scan;
+    # 4, 8 and 16 end a doubling exactly, 5, 9 and 17 overshoot it by one.
     for _ in range(20):
         values = rng.uniform(-3.0, 5.0, size=int(rng.integers(5, 60)))
         scan = ModulusScan(lo=0.0, hi=1.0, values=values)
-        for window in (2, 3, 7, max(2, len(values) // 2), len(values), len(values) + 4):
+        windows = (2, 3, 4, 5, 7, 8, 9, 16, 17, len(values) // 2, len(values), len(values) + 4)
+        for window in windows:
             # delta strictly inside ((window-1)*step, window*step) selects
             # exactly `window` consecutive samples.
             delta = (window - 0.5) * scan.step
@@ -85,19 +87,19 @@ def test_partial_moduli_coordinate_split():
 
 
 def test_surface_modulus_matches_brute_force(rng):
-    values = rng.uniform(-1.0, 1.0, size=(9, 7))
+    values = rng.uniform(-1.0, 1.0, size=(19, 11))
     sm = SurfaceModulus(lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0, values=values)
-    window = 3
-    delta1 = window * sm.step1 * 0.9  # rounds down to a 3-sample window
-    by_rows = max(
-        brute_window_range(values[:, j], window) for j in range(values.shape[1])
-    )
-    assert sm.omega1(delta1) == pytest.approx(by_rows, abs=1e-12)
-    delta2 = window * sm.step2 * 0.9
-    by_cols = max(
-        brute_window_range(values[i, :], window) for i in range(values.shape[0])
-    )
-    assert sm.omega2(delta2) == pytest.approx(by_cols, abs=1e-12)
+    for window in (2, 3, 4, 5, 8, 9, 11, 16, 17, 19, 25):
+        # delta strictly inside ((window-1)*step, window*step) selects
+        # exactly `window` consecutive samples on each axis.
+        by_rows = max(
+            brute_window_range(values[:, j], window) for j in range(values.shape[1])
+        )
+        assert sm.omega1((window - 0.5) * sm.step1) == pytest.approx(by_rows, abs=1e-12)
+        by_cols = max(
+            brute_window_range(values[i, :], window) for i in range(values.shape[0])
+        )
+        assert sm.omega2((window - 0.5) * sm.step2) == pytest.approx(by_cols, abs=1e-12)
 
 
 def test_surface_modulus_rectangle():
