@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .basis import basis_rows
-from .numerics import Grid, evaluate_on
+from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
 from .univariate import (
     CSV_FLOAT_FORMAT,
     OperatorConfig,
@@ -84,25 +84,37 @@ def _as_points(ys) -> tuple[np.ndarray, bool]:
 def _generic_window_integrals(config: BivariateConfig, g: Callable) -> np.ndarray:
     """Double integrals of g over every window pair, shape (M1+1, M2+1).
 
+    Gauss-Jacobi in x = t**rho on both axes first; any first-axis window
+    with a rejected pair is redone with the composite fallback rule.
+    """
+    rows = np.arange(config.axis1.degree + 1)
+    integrals, rejected = _window_estimate(
+        lambda nodes, weights: _pair_integrals(config, g, nodes, weights, rows), config.rho
+    )
+    redo = np.flatnonzero(rejected.any(axis=1))
+    if redo.size:
+        integrals[redo] = _pair_integrals(config, g, *_fallback_window_rule(config.rho), redo)
+    return integrals
+
+
+def _pair_integrals(
+    config: BivariateConfig, g: Callable, nodes: np.ndarray, weights: np.ndarray, rows
+) -> np.ndarray:
+    """One rule on both axes for the window pairs (i1, 0..M2) of each i1 in rows.
+
     Evaluation is chunked along the first window index: each chunk touches
-    n_t x ((M2+1) * n_t) points, which caps memory for large degree pairs.
+    n x ((M2+1) * n) points, which caps memory for large degree pairs.
     """
     c1, c2 = config.axis1, config.axis2
-    t1, w1 = c1.quadrature()
-    t2, w2 = c2.quadrature()
-    s1 = np.power(t1, config.rho)
-    s2 = np.power(t2, config.rho)
-    M1, M2 = c1.degree, c2.degree
-    pts2 = (np.arange(M2 + 1, dtype=float)[:, None] + s2[None, :]) / (c2.m + 1)
-    flat2 = pts2.ravel()
-    n2 = len(t2)
-    out = np.empty((M1 + 1, M2 + 1))
-    for i1 in range(M1 + 1):
-        pts1 = (i1 + s1) / (c1.m + 1)
+    M2 = c2.degree
+    n = len(nodes)
+    flat2 = ((np.arange(M2 + 1, dtype=float)[:, None] + nodes[None, :]) / (c2.m + 1)).ravel()
+    out = np.empty((len(rows), M2 + 1))
+    for r, i1 in enumerate(rows):
+        pts1 = (i1 + nodes) / (c1.m + 1)
         values = evaluate_on(g, pts1[:, None], flat2[None, :])
-        # Contract the t1 axis, then the t2 axis inside each window.
-        inner = w1 @ values
-        out[i1] = inner.reshape(M2 + 1, n2) @ w2
+        # Contract the first axis, then the second inside each window.
+        out[r] = (weights @ values).reshape(M2 + 1, n) @ weights
     return out
 
 

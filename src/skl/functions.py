@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bivariate import SeparableFunction
+from .errors import EvaluationError
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -144,7 +145,15 @@ class Expression:
                 f"expression over {self.variables} takes {len(self.variables)} arguments"
             )
         env = dict(zip(self.variables, args))
-        result = _eval_node(self._ast, env)
+        try:
+            # Non-finite array values are left to the caller's finiteness
+            # check, which reports them once.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                result = _eval_node(self._ast, env)
+        except OverflowError:
+            raise EvaluationError(f"expression {self.source!r} overflows a float") from None
+        if np.iscomplexobj(result):
+            raise EvaluationError(f"expression {self.source!r} has a complex value")
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         if arrays and np.ndim(result) == 0:
             shape = np.broadcast(*[np.asarray(a) for a in args]).shape

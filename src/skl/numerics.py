@@ -20,8 +20,15 @@ from .errors import DomainError, EvaluationError
 #: range exercised by the partition-of-unity checks (m <= 100, q <= 10) exact.
 EXACT_BINOMIAL_LIMIT = 128
 
+#: Node counts of the two Gauss-Jacobi window rules.  Their gap estimates the
+#: error of the larger one, which supplies the window integral when the gap
+#: is within JACOBI_TOLERANCE * max(1, |integral|).
+JACOBI_ORDERS = (32, 64)
+JACOBI_TOLERANCE = 1e-11
+
 #: Composite quadrature defaults: 32-node Gauss-Legendre cells over 8 uniform
-#: subdivisions of [0, 1].
+#: subdivisions of [0, 1].  The composite rule is the fallback for windows
+#: the Gauss-Jacobi pair cannot resolve (targets not smooth inside a window).
 DEFAULT_QUADRATURE_ORDER = 32
 DEFAULT_SUBDIVISIONS = 8
 
@@ -83,7 +90,12 @@ class BinomialTable:
             return 0.0
         if n <= self.exact_limit:
             return float(self._rows[n][k])
-        return math.exp(self.log_value(n, k))
+        try:
+            return math.exp(self.log_value(n, k))
+        except OverflowError:
+            raise DomainError(
+                f"binomial C({n}, {k}) overflows a float; the degree m + q is too large"
+            ) from None
 
     def row(self, n: int) -> np.ndarray:
         """All of C(n, 0..n) as a float vector."""
@@ -167,6 +179,65 @@ def composite_nodes(
     if origin_levels < 0:
         raise DomainError("origin_levels must be >= 0")
     return _composite_cells(subdivisions, origin_levels)
+
+
+@lru_cache(maxsize=64)
+def jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule on (0, 1) for the weight (beta + 1) * x**beta.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the weight (1 - s)**0 * (1 + s)**beta on [-1, 1], mapped
+    by x = (1 + s) / 2; the weights are the squared first eigenvector
+    components, normalised to sum to 1.  Exact for polynomials of degree
+    2n - 1; beta > -1.
+    """
+    if n < 1:
+        raise DomainError("quadrature order must be positive")
+    if not beta > -1.0:
+        raise DomainError("Jacobi exponent beta must exceed -1")
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    # The general term beta**2 / ((2k + beta)(2k + beta + 2)) is 0/0 at
+    # k = 0, beta = 0; its limit for every beta is beta / (beta + 2).
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    eigenvalues, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    nodes = 0.5 * (eigenvalues + 1.0)
+    weights = vectors[0] ** 2
+    weights /= weights.sum()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _window_estimate(
+    integrate: Callable[[np.ndarray, np.ndarray], np.ndarray], rho: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window integrals of f(t**rho) over t in [0, 1] and where to reject them.
+
+    With x = t**rho the integral is a Jacobi-weighted one with
+    beta = 1/rho - 1.  ``integrate(nodes, weights)`` applies one rule in x
+    to every window; it runs once per rule in JACOBI_ORDERS.  Returns the
+    largest rule's values and the mask where the gap between the two rules
+    exceeds JACOBI_TOLERANCE * max(1, |value|).  Rejected entries need
+    ``_fallback_window_rule``.
+    """
+    beta = 1.0 / rho - 1.0
+    low, high = (integrate(*jacobi_rule(n, beta)) for n in JACOBI_ORDERS)
+    rejected = np.abs(low - high) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(high))
+    return high, rejected
+
+
+def _fallback_window_rule(rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite rule for f(t**rho) over t in [0, 1], as nodes t**rho and weights.
+
+    Geometric refinement toward t = 0 when rho < 1, where t**rho has an
+    unbounded derivative.
+    """
+    t, weights = composite_nodes(origin_levels=SINGULAR_ORIGIN_LEVELS if rho < 1.0 else 0)
+    return np.power(t, rho), weights
 
 
 def evaluate_on(f: Callable, *xs: np.ndarray) -> np.ndarray:

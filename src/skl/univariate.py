@@ -23,9 +23,9 @@ from .basis import BasisParams, basis_row, basis_rows
 from .errors import DomainError, EvaluationError
 from .numerics import (
     DEFAULT_BINOMIALS,
-    SINGULAR_ORIGIN_LEVELS,
     Grid,
-    composite_nodes,
+    _fallback_window_rule,
+    _window_estimate,
     evaluate_on,
     fsum_product,
 )
@@ -37,9 +37,11 @@ CSV_FLOAT_FORMAT = "%.12g"
 class OperatorConfig:
     """Full parameter set of one operator instance.
 
-    ``rho`` bends the Kantorovich node inside each window; values below 1
-    produce an integrand with unbounded derivative at t = 0, which the
-    quadrature counters with geometric refinement toward the origin.
+    ``rho`` bends the Kantorovich node inside each window.  The window
+    integrals substitute x = t**rho, which turns the unbounded derivative
+    at t = 0 for rho < 1 into the Jacobi weight x**(1/rho - 1) of a
+    Gauss-Jacobi rule; windows where its 32- and 64-node values disagree
+    fall back to a composite rule in t.
     """
 
     m: int
@@ -68,20 +70,30 @@ class OperatorConfig:
         """Right end of the union of all sampling windows, (m+q+1)/(m+1)."""
         return (self.m + self.q + 1) / (self.m + 1)
 
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inner-integral nodes and weights on [0, 1]."""
-        levels = SINGULAR_ORIGIN_LEVELS if self.rho < 1.0 else 0
-        return composite_nodes(origin_levels=levels)
-
 
 def window_integrals(config: OperatorConfig, f: Callable) -> np.ndarray:
-    """integral_0^1 f((i + t**rho) / (m + 1)) dt for every index i."""
-    t, w = config.quadrature()
-    shifted = np.power(t, config.rho)
+    """integral_0^1 f((i + t**rho) / (m + 1)) dt for every index i.
+
+    Gauss-Jacobi in x = t**rho first; rejected windows take the composite
+    fallback rule.  BLAS reduces a row of a matrix-vector product
+    differently depending on the row's place and the matrix's shape, so the
+    rejected rows keep their places in a zero-filled full-size matrix: their
+    values are then bit for bit the composite rule's on every window.
+    """
     idx = np.arange(config.degree + 1, dtype=float)
-    points = (idx[:, None] + shifted[None, :]) / (config.m + 1)
-    values = evaluate_on(f, points)
-    return values @ w
+
+    def points(nodes, rows=slice(None)):
+        return (idx[rows, None] + nodes[None, :]) / (config.m + 1)
+
+    integrals, rejected = _window_estimate(
+        lambda nodes, weights: evaluate_on(f, points(nodes)) @ weights, config.rho
+    )
+    if rejected.any():
+        nodes, weights = _fallback_window_rule(config.rho)
+        values = np.zeros((len(idx), len(nodes)))
+        values[rejected] = evaluate_on(f, points(nodes, rejected))
+        integrals[rejected] = (values @ weights)[rejected]
+    return integrals
 
 
 def apply(config: OperatorConfig, f: Callable, ys) -> np.ndarray | float:

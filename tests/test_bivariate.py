@@ -69,6 +69,29 @@ def test_separable_path_matches_generic(rng):
         assert fast == pytest.approx(slow, abs=1e-10)
 
 
+def test_generic_path_evaluation_count():
+    # Gauss-Jacobi pair on both axes: 32^2 + 64^2 evaluations per window
+    # pair when no window falls back to the composite rule.
+    config = BivariateConfig(m1=10, m2=10, q1=2, q2=2, lam1=0.5, lam2=0.5, rho=0.9)
+    evaluations = 0
+
+    def cube(a, b):
+        nonlocal evaluations
+        evaluations += np.broadcast(a, b).size
+        return (a + b) ** 3
+
+    y1, y2 = 0.3, 0.7
+    value = apply_bi(config, cube, y1, y2)
+    M = config.axis1.degree
+    assert evaluations <= (M + 1) ** 2 * (32 ** 2 + 64 ** 2)
+    # (y1 + y2)^3 expands into separable monomial products.
+    expanded = sum(
+        c * monomial_moment(config.axis1, y1, j) * monomial_moment(config.axis2, y2, 3 - j)
+        for j, c in enumerate((1, 3, 3, 1))
+    )
+    assert value == pytest.approx(expanded, abs=1e-12)
+
+
 def test_symmetric_config_symmetric_result():
     config = BivariateConfig(m1=6, m2=6, q1=2, q2=2, lam1=0.3, lam2=0.3, rho=1.5)
     ys = np.array([0.2, 0.45, 0.7])

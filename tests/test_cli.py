@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from skl.cli import _grid, _int_list, build_config, main
@@ -68,14 +70,26 @@ def test_main_usage_failures(capsys, tmp_path):
     assert main(["bounds", "--m", "10", "--thm", "99"]) == 1
     assert main(["eval", "--m", "10", "--u", "0.5", "--f", "y +"]) == 1
     assert main(["eval", "--m", "10", "--u", "1.5"]) == 1  # outside [0, 1]
+    err = capsys.readouterr().err
     # Arithmetic failures: a non-finite target, exact division by zero,
-    # float overflow in a constant, and binomial overflow at large m.
-    assert main(["eval", "--m", "10", "--u", "0.5", "--f", "y/0"]) == 1
+    # float overflow in a constant, binomial overflow at large m, and a
+    # complex power.  Each prints one line and no warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "--m", "10", "--u", "0.5", "--f", "y/0"]) == 1
+    assert not caught
+    divide = capsys.readouterr().err
+    assert divide.splitlines() == ["error: function returned a non-finite value"]
     assert main(["eval", "--m", "10", "--u", "0.5", "--f", "0/0"]) == 1
     assert main(["eval", "--m", "10", "--u", "0.5", "--f", "10^400"]) == 1
     assert main(["eval", "--m", "1100", "--u", "0.5"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 13
+    assert main(["eval", "--m", "10", "--u", "0.5", "--f", "(-1)^0.5"]) == 1
+    arithmetic = capsys.readouterr().err
+    assert "error: expression '10^400' overflows a float" in arithmetic
+    assert "C(1098, " in arithmetic and "the degree m + q is too large" in arithmetic
+    assert "error: expression '(-1)^0.5' has a complex value" in arithmetic
+    assert len(arithmetic.splitlines()) == 4
+    assert (err + divide + arithmetic).count("error:") == 14
 
 
 def test_main_eval_point(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from skl.errors import EvaluationError
 from skl.functions import (
     BUILTINS,
     Expression,
@@ -83,3 +84,16 @@ def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         expr(0.0)
     assert expr(0.5) == pytest.approx(2.0)
+
+
+def test_complex_and_overflowing_values_raise():
+    with pytest.raises(EvaluationError, match=r"'\(-1\)\^0\.5' has a complex value"):
+        parse_expression("(-1)^0.5")(0.5)
+    with pytest.raises(EvaluationError, match="complex"):
+        parse_expression("(y - 1)^0.5")(0.25)
+    with pytest.raises(EvaluationError, match="'10\\^400' overflows"):
+        parse_expression("10^400")(np.linspace(0.0, 1.0, 3))
+    # Array results that leave the reals stay arrays; callers check finiteness.
+    with np.errstate(all="raise"):
+        values = parse_expression("(y - 1)^0.5 + 1/y")(np.array([0.0, 0.25]))
+    assert np.isnan(values).all()

@@ -14,6 +14,7 @@ from skl.numerics import (
     evaluate_on,
     fsum_product,
     integrate_unit,
+    jacobi_rule,
     sup_on_grid,
     unit_grid,
 )
@@ -55,6 +56,20 @@ def test_gauss_legendre_exact_for_high_degree():
     for k in (1, 5, 20, 63):
         value = float(rule.weights @ rule.nodes ** k)
         assert value == pytest.approx(1.0 / (k + 1), rel=1e-13)
+
+
+def test_jacobi_rule_exact_for_high_degree():
+    # beta = 1/rho - 1 for rho = 2, 1, 0.9 and 0.1.
+    for beta in (-0.5, 0.0, 1.0 / 0.9 - 1.0, 9.0):
+        nodes, weights = jacobi_rule(32, beta)
+        assert math.fsum(weights.tolist()) == pytest.approx(1.0, abs=1e-15)
+        assert nodes.min() > 0.0 and nodes.max() < 1.0
+        # Order-32 Gauss is exact through degree 63 for its weight.
+        for k in range(64):
+            value = float(weights @ nodes ** k)
+            assert value == pytest.approx((beta + 1.0) / (beta + k + 1.0), rel=1e-13)
+    with pytest.raises(DomainError):
+        jacobi_rule(32, -1.0)
 
 
 def test_composite_nodes_cover_unit_interval():

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import exact_moment, exact_window_integral
 from skl.errors import DomainError
-from skl.numerics import Grid, unit_grid
+from skl.functions import resolve_function
+from skl.numerics import (
+    JACOBI_TOLERANCE,
+    SINGULAR_ORIGIN_LEVELS,
+    Grid,
+    composite_nodes,
+    evaluate_on,
+    jacobi_rule,
+    unit_grid,
+)
 from skl.univariate import (
     CentralMomentSet,
     MomentSet,
@@ -55,6 +64,30 @@ def test_window_integrals_of_one():
     cfg = OperatorConfig(m=7, q=2, lam=0.4, rho=0.3)
     values = window_integrals(cfg, lambda y: np.ones_like(y))
     assert values == pytest.approx(np.ones(10), abs=1e-14)
+
+
+def test_window_integrals_fall_back_where_jacobi_pair_disagrees():
+    # Targets with a kink or a root inside a window: Gauss-Jacobi is off by
+    # ~1e-5 there, so exactly those windows take the composite rule's value.
+    # Three kinks show that several flagged windows keep that value too.
+    kinks = "((y-0.3)^2)^0.5 + ((y-0.55)^2)^0.5 + ((y-0.8)^2)^0.5"
+    cases = (("y^0.5", 2.0, [0]), ("((y-0.3)^2)^0.5", 0.9, [6]), (kinks, 2.0, [6, 11, 16]))
+    for text, rho, flagged in cases:
+        cfg = OperatorConfig(m=20, q=2, lam=0.5, rho=rho)
+        f = resolve_function(text)
+        idx = np.arange(cfg.degree + 1, dtype=float)
+
+        def rule_values(nodes, weights):
+            return evaluate_on(f, (idx[:, None] + nodes[None, :]) / (cfg.m + 1)) @ weights
+
+        low, high = (rule_values(*jacobi_rule(n, 1.0 / rho - 1.0)) for n in (32, 64))
+        rejected = np.abs(low - high) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(high))
+        assert np.flatnonzero(rejected).tolist() == flagged
+        t, w = composite_nodes(origin_levels=SINGULAR_ORIGIN_LEVELS if rho < 1.0 else 0)
+        composite = rule_values(t ** rho, w)
+        values = window_integrals(cfg, f)
+        assert np.array_equal(values[rejected], composite[rejected])
+        assert np.array_equal(values[~rejected], high[~rejected])
 
 
 def test_frozen_monomial_integral():
