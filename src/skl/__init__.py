@@ -20,7 +20,7 @@ from .analysis import (
     point_delta,
     weighted_convergence,
 )
-from .basis import BasisParams, basis_row, basis_rows, basis_weight
+from .basis import BasisParams, basis_row, basis_rows, bernstein_rows
 from .bivariate import (
     BiCentralMomentSet,
     BiMomentSet,
@@ -44,7 +44,7 @@ from .modulus import (
     partial_moduli,
     surface_modulus,
 )
-from .numerics import BinomialTable, Grid, binomial, integrate_unit, unit_grid
+from .numerics import Grid, integrate_unit, unit_grid
 from .reports import (
     AuditRecord,
     AuditReport,
@@ -84,7 +84,6 @@ __all__ = [
     "BasisParams",
     "BiCentralMomentSet",
     "BiMomentSet",
-    "BinomialTable",
     "BivariateConfig",
     "CentralMomentSet",
     "CheckResult",
@@ -111,10 +110,9 @@ __all__ = [
     "apply_bi",
     "basis_row",
     "basis_rows",
-    "basis_weight",
+    "bernstein_rows",
     "bi_central_moments",
     "bi_moments",
-    "binomial",
     "bound_thm33",
     "bound_thm41",
     "bound_thm71",

@@ -10,6 +10,14 @@ With ``M = m + q``, the weight attached to index ``i`` is
 
 with the convention C(n, k) = 0 outside 0 <= k <= n.  The weights are
 nonnegative for lam in [0, 1] and sum to 1 at every y in [0, 1].
+
+In terms of the Bernstein basis b_{n,k}(y) = C(n, k) y**k (1-y)**(n-k),
+
+    p_i(y) = (1 - lam) * [(1-y) * b_{M-2,i} + y * b_{M-2,i-2}] + lam * b_{M,i},
+
+which is how the rows are computed: one log-space Bernstein row of degree
+M - 2 per point, lifted to degree M by degree elevation, so no binomial
+coefficient is ever formed and every degree works.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_BINOMIALS
 
 #: Basis degree must be at least this; the C(M-2, .) legs need M - 2 >= 0.
 MIN_DEGREE = 2
@@ -55,91 +62,72 @@ class BasisParams:
     def degree(self) -> int:
         return self.m + self.q
 
-    def require_point(self, y: float) -> None:
-        """Reject evaluation points outside [0, 1] unless unchecked."""
-        if not math.isfinite(y):
-            raise DomainError("evaluation point must be finite")
-        if not self.unchecked and not 0.0 <= y <= 1.0:
-            raise DomainError("evaluation point must lie in [0, 1]; pass unchecked=True to override")
-
 
 @lru_cache(maxsize=256)
-def _coefficient_rows(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binomial coefficient vectors (c1, c2, c3) for indices 0..degree.
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, k) for k = 0..n, taken from the exact integers."""
+    logs = np.empty(n + 1)
+    c = 1
+    for k in range(n + 1):
+        logs[k] = math.log(c)
+        c = c * (n - k) // (k + 1)
+    logs.setflags(write=False)
+    return logs
 
-    c1[i] = C(M-2, i), c2[i] = C(M-2, i-2), c3[i] = C(M, i); out-of-range
-    entries are 0.
+
+def bernstein_rows(n: int, ys) -> np.ndarray:
+    """Bernstein weights b_{n,k}(y) = C(n, k) y**k (1-y)**(n-k), one row per point.
+
+    Each weight is exp(log C(n, k) + k log|y| + (n-k) log|1-y|), so no
+    factor overflows at any degree.  Rows at y = 0 and y = 1 are the exact
+    unit vectors e_0 and e_n; points outside [0, 1] get the sign of
+    y**k (1-y)**(n-k) multiplied back in.
     """
-    M = degree
-    idx = np.arange(M + 1)
-    c1 = np.array([DEFAULT_BINOMIALS.value(M - 2, i) for i in idx])
-    c2 = np.array([DEFAULT_BINOMIALS.value(M - 2, i - 2) for i in idx])
-    c3 = np.array([DEFAULT_BINOMIALS.value(M, i) for i in idx])
-    for arr in (c1, c2, c3):
-        arr.setflags(write=False)
-    return c1, c2, c3
-
-
-def basis_weight(params: BasisParams, i: int, y: float) -> float:
-    """Single basis weight p_i(y).
-
-    Scalar path kept separate from the vectorized row for clarity; both
-    agree to machine precision.
-    """
-    M = params.degree
-    if i < 0 or i > M:
-        raise DomainError(f"basis index must lie in 0..{M}")
-    params.require_point(y)
-    one_minus = 1.0 - y
-    c = DEFAULT_BINOMIALS
-    term1 = c.value(M - 2, i) * _pow(y, i) * _pow(one_minus, M - i - 1)
-    term2 = c.value(M - 2, i - 2) * _pow(y, i - 1) * _pow(one_minus, M - i)
-    term3 = c.value(M, i) * _pow(y, i) * _pow(one_minus, M - i)
-    return (1.0 - params.lam) * (term1 + term2) + params.lam * term3
-
-
-def _pow(base: float, exponent: int) -> float:
-    """base**exponent treating negative exponents as vacuous (coefficient 0)."""
-    if exponent < 0:
-        return 0.0
-    return base ** exponent
-
-
-def _masked_powers(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """base**exponents with negative exponents mapped to 0.
-
-    ``base`` has shape (n, 1) and ``exponents`` (M+1,); the result
-    broadcasts to (n, M+1).
-    """
-    valid = exponents >= 0
-    safe = np.where(valid, exponents, 0).astype(float)
-    return np.where(valid, np.power(base, safe), 0.0)
+    arr = np.atleast_1d(np.asarray(ys, dtype=float))
+    at_zero, at_one = arr == 0.0, arr == 1.0
+    ends = at_zero | at_one
+    y = np.where(ends, 0.5, arr)[:, None]
+    k = np.arange(n + 1)
+    rows = np.multiply(k, np.log(np.abs(y)))
+    # log1p(-y) skips rounding 1 - y; past y = 1, 2 - y mirrors the point
+    # so the logarithm is still that of |1 - y|.
+    rows += np.multiply(n - k, np.log1p(-np.minimum(y, 2.0 - y)))
+    rows += _log_binomials(n)
+    np.exp(rows, out=rows)
+    rows[arr < 0.0] *= np.where(k % 2, -1.0, 1.0)
+    rows[arr > 1.0] *= np.where((n - k) % 2, -1.0, 1.0)
+    rows[ends] = 0.0
+    rows[at_zero, 0] = 1.0
+    rows[at_one, n] = 1.0
+    return rows
 
 
 def basis_rows(params: BasisParams, ys) -> np.ndarray:
     """Weight matrix with one basis row per evaluation point (len(ys) x (M+1)).
 
-    Powers with negative exponents only ever multiply zero coefficients, so
-    they are masked to 0 before the products are formed.
+    With b = b_{M-2} the blended leg is (1-y) b_i + y b_{i-2}, and two degree
+    elevations b_{n+1,k} = (1-y) b_{n,k} + y b_{n,k-1} turn b into
+    b_{M,i} = (1-y)**2 b_i + 2y(1-y) b_{i-1} + y**2 b_{i-2}.  Blending the
+    two legs gives p_i as three taps on b, each applied in place.
     """
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
     outside = ~((arr >= 0.0) & (arr <= 1.0))
     if not params.unchecked and outside.any():
         raise DomainError(f"evaluation point {float(arr[outside][0])!r} outside [0, 1]")
-    M = params.degree
-    c1, c2, c3 = _coefficient_rows(M)
-    idx = np.arange(M + 1)
+    M, lam = params.degree, params.lam
+    low = bernstein_rows(M - 2, arr)
     y = arr[:, None]
     one_minus = 1.0 - y
-
-    y_i = _masked_powers(y, idx)
-    y_im1 = _masked_powers(y, idx - 1)
-    om_Mi = _masked_powers(one_minus, M - idx)
-    om_Mim1 = _masked_powers(one_minus, M - idx - 1)
-
-    blended = c1 * y_i * om_Mim1 + c2 * y_im1 * om_Mi
-    plain = c3 * y_i * om_Mi
-    return (1.0 - params.lam) * blended + params.lam * plain
+    taps = (
+        one_minus * (1.0 - lam * y),
+        2.0 * lam * y * one_minus,
+        y * (1.0 - lam * one_minus),
+    )
+    rows = np.zeros((len(arr), M + 1))
+    scratch = np.empty_like(low)
+    for shift, tap in enumerate(taps):
+        rows[:, shift : shift + M - 1] += np.multiply(low, tap, out=scratch)
+    return rows
 
 
 def basis_row(params: BasisParams, y: float) -> np.ndarray:

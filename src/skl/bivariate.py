@@ -224,9 +224,7 @@ def bi_moments(config: BivariateConfig, y1: float, y2: float) -> BiMomentSet:
     oe10 = monomial_moment(c1, y1, 1)
     oe01 = monomial_moment(c2, y2, 1)
     closed_e10 = _closed_e1(m1, lam1, rho, y1)
-    closed_e01 = ((m1 + 2.0 * (lam1 - 1.0)) / (m2 + 1.0)) * y2 + (
-        (lam2 + 1.0) * (rho + 1.0) + 1.0
-    ) / (2.0 * (rho + 1.0) * (m2 + 1.0))
+    closed_e01 = _closed_e1(m2, lam2, rho, y2, slope_n=m1, slope_lam=lam1)
     return BiMomentSet(
         at=(y1, y2),
         e00=1.0,
@@ -252,37 +250,8 @@ def bi_central_moments(config: BivariateConfig, y1: float, y2: float) -> BiCentr
     opsi1_1, opsi2_1 = oracle_central_moments(config.axis1, y1)
     opsi1_2, opsi2_2 = oracle_central_moments(config.axis2, y2)
     closed_eta10 = _closed_psi1(m1, lam1, rho, y1)
-    closed_eta01 = ((2.0 * lam1 - 3.0) / (m2 + 1.0)) * y2 + (
-        (lam2 + 1.0) * (rho + 1.0) + 1.0
-    ) / ((rho + 1.0) * (m2 + 1.0))
-    closed_eta02 = (
-        (
-            (1.0 + (4.0 * lam2 - 3.0) / m2) * (m2 * m2) / ((m2 + 1.0) ** 2)
-            - (2.0 * m2 + 4.0 * lam2 - 1.0) / (m2 + 1.0)
-            + 1.0
-        )
-        * y2
-        * y2
-        + (
-            (rho + 1.0)
-            * (
-                m1 * (2.0 * lam2 + 3.0)
-                + (lam2 - 1.0) * (2.0 * lam2 + 7.0)
-                - 2.0 * (lam2 + 1.0)
-            )
-            + lam2
-            - 6.0
-        )
-        / ((rho + 1.0) * (m2 + 1.0) ** 2)
-        * y2
-        + (
-            2.0 * m2 * (2.0 * rho + 1.0)
-            + (lam2 + 1.0) * (2.0 * rho + 1.0) * ((lam2 + 2.0) * (rho + 1.0) + 2.0)
-            + rho
-            + 1.0
-        )
-        / ((2.0 * rho + 1.0) * (rho + 1.0) * (m2 + 1.0) ** 2)
-    )
+    closed_eta01 = _closed_psi1(m2, lam2, rho, y2, slope_lam=lam1)
+    closed_eta02 = _closed_psi2(m2, lam2, rho, y2, slope_n=m1)
     return BiCentralMomentSet(
         at=(y1, y2),
         eta10=closed_eta10,

@@ -1,4 +1,4 @@
-"""Stable combinatorics, quadrature, and grid utilities.
+"""Quadrature, window rules, target evaluation, and grid utilities.
 
 Everything here is pure and deterministic; objects are immutable after
 construction and safe to share between threads.
@@ -9,16 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-
-#: Largest top index for which binomial coefficients are kept as exact integers.
-#: Beyond this the log-gamma representation takes over.  128 keeps the whole
-#: range exercised by the partition-of-unity checks (m <= 100, q <= 10) exact.
-EXACT_BINOMIAL_LIMIT = 128
 
 #: Node counts of the two Gauss-Jacobi window rules.  Their gap estimates the
 #: error of the larger one, which supplies the window integral when the gap
@@ -40,78 +35,6 @@ SINGULAR_ORIGIN_LEVELS = 16
 
 #: Default number of points for sup-norm and modulus grids.
 DEFAULT_SUP_GRID_POINTS = 10_001
-
-
-class BinomialTable:
-    """Binomial coefficients with exact-integer and log-space storage.
-
-    Rows up to ``exact_limit`` are held as exact Pascal-triangle integers;
-    larger indices are evaluated through ``lgamma``.  ``C(n, k)`` is 0 for
-    ``k < 0`` or ``k > n``, matching the usual out-of-range convention.
-    """
-
-    def __init__(self, max_n: int = 2048, exact_limit: int = EXACT_BINOMIAL_LIMIT):
-        if max_n < 0:
-            raise DomainError("max_n must be nonnegative")
-        self.max_n = max_n
-        self.exact_limit = min(exact_limit, max_n)
-        rows: list[list[int]] = [[1]]
-        for n in range(1, self.exact_limit + 1):
-            prev = rows[-1]
-            row = [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
-            rows.append(row)
-        self._rows = rows
-
-    def exact(self, n: int, k: int) -> int:
-        """Exact integer C(n, k); only available for n <= exact_limit."""
-        if n < 0:
-            raise DomainError("binomial top index must be nonnegative")
-        if n > self.exact_limit:
-            raise DomainError(f"exact binomials stored only up to n={self.exact_limit}")
-        if k < 0 or k > n:
-            return 0
-        return self._rows[n][k]
-
-    def log_value(self, n: int, k: int) -> float:
-        """log C(n, k) via lgamma; -inf for out-of-range k."""
-        if n < 0:
-            raise DomainError("binomial top index must be nonnegative")
-        if k < 0 or k > n:
-            return float("-inf")
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-    def value(self, n: int, k: int) -> float:
-        """C(n, k) as a double; exact below the integer threshold."""
-        if n < 0:
-            raise DomainError("binomial top index must be nonnegative")
-        if n > self.max_n:
-            raise DomainError(f"binomial top index {n} exceeds table limit {self.max_n}")
-        if k < 0 or k > n:
-            return 0.0
-        if n <= self.exact_limit:
-            return float(self._rows[n][k])
-        try:
-            return math.exp(self.log_value(n, k))
-        except OverflowError:
-            raise DomainError(
-                f"binomial C({n}, {k}) overflows a float; the degree m + q is too large"
-            ) from None
-
-    def row(self, n: int) -> np.ndarray:
-        """All of C(n, 0..n) as a float vector."""
-        if n < 0:
-            raise DomainError("binomial top index must be nonnegative")
-        if n <= self.exact_limit:
-            return np.array(self._rows[n], dtype=float)
-        return np.array([self.value(n, k) for k in range(n + 1)])
-
-
-DEFAULT_BINOMIALS = BinomialTable()
-
-
-def binomial(n: int, k: int) -> float:
-    """C(n, k) with C(n, k) = 0 outside 0 <= k <= n; n must be >= 0."""
-    return DEFAULT_BINOMIALS.value(n, k)
 
 
 @dataclass(frozen=True)
@@ -301,19 +224,3 @@ class Grid:
 
 def unit_grid(count: int = DEFAULT_SUP_GRID_POINTS) -> Grid:
     return Grid(0.0, 1.0, count)
-
-
-def sup_on_grid(f: Callable, grid: Grid) -> tuple[float, float]:
-    """Maximum of ``f`` over the grid points and its abscissa.
-
-    Ties break toward the smallest abscissa.  The result does not depend on
-    evaluation order.
-    """
-    values = evaluate_on(f, grid.points)
-    idx = int(np.argmax(values))
-    return float(values[idx]), float(grid.points[idx])
-
-
-def fsum_product(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Compensated dot product; robust against cancellation across terms."""
-    return math.fsum(np.multiply(a, b).tolist())

@@ -83,6 +83,11 @@ VERIFY_SEED = 168041
 #: from "documented divergence" in the audit summaries.
 AUDIT_GAP_THRESHOLD = 1e-9
 
+#: Largest degree m + q the command line accepts.  The library takes any
+#: degree; the command line keeps the range it has always had, which the
+#: cli-oneshot benchmark workload checks with the bad input ``--m 1100``.
+MAX_CLI_DEGREE = 1024
+
 _RHO_CHOICES = (0.1, 0.5, 0.9, 1.0, 2.0)
 
 
@@ -151,6 +156,16 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("csv", "svg", "both"):
             raise UsageError(f"unknown format {self.format!r}")
+        # The --m-list ladder of figures 1 and 2 runs at q = TABLE1_Q.
+        degrees = [(self.m, self.q), *((m, TABLE1_Q) for m in self.m_list)] + [
+            (self.m if m is None else m, self.q if q is None else q)
+            for m, q in ((self.m1, self.q1), (self.m2, self.q2))
+        ]
+        for m, q in degrees:
+            if m is not None and m + q > MAX_CLI_DEGREE:
+                raise UsageError(
+                    f"degree m + q = {m + q} exceeds the command-line limit of {MAX_CLI_DEGREE}"
+                )
 
     def operator(self) -> OperatorConfig:
         if self.m is None:

@@ -21,14 +21,7 @@ import numpy as np
 
 from .basis import BasisParams, basis_row, basis_rows
 from .errors import DomainError, EvaluationError
-from .numerics import (
-    DEFAULT_BINOMIALS,
-    Grid,
-    _fallback_window_rule,
-    _window_estimate,
-    evaluate_on,
-    fsum_product,
-)
+from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
 
 CSV_FLOAT_FORMAT = "%.12g"
 
@@ -99,13 +92,14 @@ def window_integrals(config: OperatorConfig, f: Callable) -> np.ndarray:
 def apply(config: OperatorConfig, f: Callable, ys) -> np.ndarray | float:
     """Evaluate K(f; y) at one point or an array of points.
 
-    The basis/integral contraction uses compensated summation; results are
-    deterministic and independent of the shape ``ys`` arrives in.
+    Each basis row is contracted with the window integrals by one row sum,
+    so a point gets the same value bit for bit whatever shape ``ys``
+    arrives in.
     """
     integrals = window_integrals(config, f)
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
     rows = basis_rows(config.basis, arr)
-    out = np.array([fsum_product(row, integrals) for row in rows])
+    out = np.multiply(rows, integrals, out=rows).sum(axis=1)
     if np.isscalar(ys) or np.asarray(ys).ndim == 0:
         return float(out[0])
     return out
@@ -126,7 +120,7 @@ def monomial_kantorovich_integral(config: OperatorConfig, i: int, k: int) -> flo
         raise DomainError(f"window index must lie in 0..{config.degree}")
     scale = (config.m + 1) ** (-k)
     terms = [
-        DEFAULT_BINOMIALS.value(k, j) * i ** (k - j) / (config.rho * j + 1.0)
+        math.comb(k, j) * i ** (k - j) / (config.rho * j + 1.0)
         for j in range(k + 1)
     ]
     return scale * math.fsum(terms)
@@ -138,7 +132,7 @@ def monomial_moment(config: OperatorConfig, u: float, k: int) -> float:
     integrals = np.array(
         [monomial_kantorovich_integral(config, i, k) for i in range(config.degree + 1)]
     )
-    return fsum_product(weights, integrals)
+    return float((weights * integrals).sum())
 
 
 @dataclass(frozen=True)
@@ -187,8 +181,15 @@ class CentralMomentSet:
     identity_residual: float
 
 
-def _closed_e1(n: float, lam: float, rho: float, u: float) -> float:
-    return ((n + 2.0 * (lam - 1.0)) / (n + 1.0)) * u + (
+# ``slope_n`` and ``slope_lam`` (default n and lam) stand in for the
+# parameters in the numerator of the u coefficient, where the published
+# bivariate e01, eta01 and eta02 rows carry the first axis's m1 and lam1.
+def _closed_e1(
+    n: float, lam: float, rho: float, u: float, slope_n=None, slope_lam=None
+) -> float:
+    slope_n = n if slope_n is None else slope_n
+    slope_lam = lam if slope_lam is None else slope_lam
+    return ((slope_n + 2.0 * (slope_lam - 1.0)) / (n + 1.0)) * u + (
         (lam + 1.0) * (rho + 1.0) + 1.0
     ) / (2.0 * (rho + 1.0) * (n + 1.0))
 
@@ -215,13 +216,15 @@ def _closed_e2(n: float, lam: float, rho: float, u: float) -> float:
     )
 
 
-def _closed_psi1(n: float, lam: float, rho: float, u: float) -> float:
-    return ((2.0 * lam - 3.0) / (n + 1.0)) * u + (
+def _closed_psi1(n: float, lam: float, rho: float, u: float, slope_lam=None) -> float:
+    slope_lam = lam if slope_lam is None else slope_lam
+    return ((2.0 * slope_lam - 3.0) / (n + 1.0)) * u + (
         (lam + 1.0) * (rho + 1.0) + 1.0
     ) / ((rho + 1.0) * (n + 1.0))
 
 
-def _closed_psi2(n: float, lam: float, rho: float, u: float) -> float:
+def _closed_psi2(n: float, lam: float, rho: float, u: float, slope_n=None) -> float:
+    slope_n = n if slope_n is None else slope_n
     return (
         (
             (1.0 + (4.0 * lam - 3.0) / n) * (n * n) / ((n + 1.0) ** 2)
@@ -233,7 +236,7 @@ def _closed_psi2(n: float, lam: float, rho: float, u: float) -> float:
         + (
             (rho + 1.0)
             * (
-                n * (2.0 * lam + 3.0)
+                slope_n * (2.0 * lam + 3.0)
                 + (lam - 1.0) * (2.0 * lam + 7.0)
                 - 2.0 * (lam + 1.0)
             )
@@ -249,14 +252,14 @@ def _closed_psi2(n: float, lam: float, rho: float, u: float) -> float:
 def oracle_moments(config: OperatorConfig, u: float) -> tuple[float, float, float]:
     """(e0, e1, e2) through the summation path only."""
     weights = basis_row(config.basis, u)
-    M = config.degree
-    values = []
-    for k in range(3):
-        col = np.array(
-            [monomial_kantorovich_integral(config, i, k) for i in range(M + 1)]
-        )
-        values.append(fsum_product(weights, col))
-    return values[0], values[1], values[2]
+    columns = np.array(
+        [
+            [monomial_kantorovich_integral(config, i, k) for i in range(config.degree + 1)]
+            for k in range(3)
+        ]
+    )
+    e0, e1, e2 = (weights * columns).sum(axis=1)
+    return float(e0), float(e1), float(e2)
 
 
 def moments_closed(config: OperatorConfig, u: float) -> MomentSet:
@@ -295,7 +298,7 @@ def oracle_central_moments(config: OperatorConfig, u: float) -> tuple[float, flo
     A = idx * B - u
     first = A + B / r1
     second = A * A + 2.0 * A * (B / r1) + B * B / r2
-    return fsum_product(weights, first), fsum_product(weights, second)
+    return float((weights * first).sum()), float((weights * second).sum())
 
 
 def central_moments(config: OperatorConfig, u: float) -> CentralMomentSet:

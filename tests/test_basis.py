@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skl.basis import BasisParams, basis_row, basis_rows, basis_weight
+from skl.basis import BasisParams, basis_row, basis_rows
 from skl.errors import DomainError
 
 from conftest import exact_weight
@@ -21,7 +21,7 @@ WEIGHT_10_5_HALF_3_AT_03 = 0.1694618451919575
 
 def test_frozen_weight_value():
     params = BasisParams(m=10, q=5, lam=0.5)
-    assert basis_weight(params, 3, 0.3) == pytest.approx(
+    assert basis_row(params, 0.3)[3] == pytest.approx(
         WEIGHT_10_5_HALF_3_AT_03, abs=1e-15
     )
 
@@ -77,6 +77,23 @@ def test_endpoint_concentration():
     assert np.all(at_one[:-1] == 0.0)
 
 
+@pytest.mark.parametrize("m, rel", [(2000, 1e-12), (10_000, 1e-11)])
+def test_high_degree_rows(m, rel):
+    # Far past where C(M, k) overflows a float: the peak weights still match
+    # the rational reference and the row still sums to 1.
+    params = BasisParams(m=m, q=5, lam=0.5)
+    for y in (Fraction(3, 10), Fraction(1, 2)):
+        row = basis_row(params, float(y))
+        peak = int(np.argmax(row))
+        for i in range(peak - 2, peak + 3):
+            expected = float(exact_weight(m, 5, Fraction(1, 2), i, y))
+            assert row[i] == pytest.approx(expected, rel=rel), (m, y, i)
+        assert abs(math.fsum(row.tolist()) - 1.0) <= PARTITION_TOL
+    at_zero, at_one = basis_rows(params, [0.0, 1.0])
+    assert at_zero[0] == 1.0 and not at_zero[1:].any()
+    assert at_one[-1] == 1.0 and not at_one[:-1].any()
+
+
 def test_row_length_is_degree_plus_one():
     assert len(basis_row(BasisParams(m=11, q=7, lam=0.2), 0.5)) == 19
 
@@ -88,13 +105,6 @@ def test_rows_matrix_matches_single_rows():
     assert rows.shape == (5, 9)
     for k, y in enumerate(ys):
         assert rows[k] == pytest.approx(basis_row(params, float(y)), abs=1e-16)
-
-
-def test_scalar_weight_matches_row():
-    params = BasisParams(m=8, q=3, lam=0.43)
-    row = basis_row(params, 0.62)
-    for i in range(12):
-        assert basis_weight(params, i, 0.62) == pytest.approx(row[i], abs=2e-16)
 
 
 def test_parameter_validation():

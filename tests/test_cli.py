@@ -4,6 +4,8 @@ import pytest
 
 from skl.cli import _grid, _int_list, build_config, main
 from skl.errors import UsageError
+from skl.functions import resolve_function
+from skl.univariate import OperatorConfig, apply
 
 
 def test_list_and_grid_converters():
@@ -72,8 +74,8 @@ def test_main_usage_failures(capsys, tmp_path):
     assert main(["eval", "--m", "10", "--u", "1.5"]) == 1  # outside [0, 1]
     err = capsys.readouterr().err
     # Arithmetic failures: a non-finite target, exact division by zero,
-    # float overflow in a constant, binomial overflow at large m, and a
-    # complex power.  Each prints one line and no warning.
+    # float overflow in a constant, a degree past the command-line limit,
+    # and a complex power.  Each prints one line and no warning.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["eval", "--m", "10", "--u", "0.5", "--f", "y/0"]) == 1
@@ -86,10 +88,22 @@ def test_main_usage_failures(capsys, tmp_path):
     assert main(["eval", "--m", "10", "--u", "0.5", "--f", "(-1)^0.5"]) == 1
     arithmetic = capsys.readouterr().err
     assert "error: expression '10^400' overflows a float" in arithmetic
-    assert "C(1098, " in arithmetic and "the degree m + q is too large" in arithmetic
+    assert "error: degree m + q = 1100 exceeds the command-line limit of 1024" in arithmetic
     assert "error: expression '(-1)^0.5' has a complex value" in arithmetic
     assert len(arithmetic.splitlines()) == 4
-    assert (err + divide + arithmetic).count("error:") == 14
+    # The limit covers every degree flag, not only --m.
+    assert main(["figure", "1", "--m-list", "1100"]) == 1
+    assert main(["bivariate", "--m1", "1100", "--m2", "5", "--y1", "0.5", "--y2", "0.5"]) == 1
+    limits = capsys.readouterr().err
+    assert limits.splitlines() == [
+        "error: degree m + q = 1105 exceeds the command-line limit of 1024",  # q = 5
+        "error: degree m + q = 1100 exceeds the command-line limit of 1024",
+    ]
+    assert (err + divide + arithmetic + limits).count("error:") == 16
+    # The library itself takes the degree the command line refuses.
+    assert apply(OperatorConfig(m=1100), resolve_function("e0"), 0.5) == pytest.approx(
+        1.0, abs=1e-12
+    )
 
 
 def test_main_eval_point(capsys):

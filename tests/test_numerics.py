@@ -1,52 +1,18 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from skl.errors import DomainError, EvaluationError
 from skl.numerics import (
-    BinomialTable,
     Grid,
     QuadratureRule,
-    binomial,
     composite_nodes,
     evaluate_on,
-    fsum_product,
     integrate_unit,
     jacobi_rule,
-    sup_on_grid,
     unit_grid,
 )
-
-
-def test_binomial_small_exact():
-    table = BinomialTable()
-    for n in range(0, 30):
-        for k in range(0, n + 1):
-            assert table.exact(n, k) == math.comb(n, k)
-            assert table.value(n, k) == float(math.comb(n, k))
-
-
-def test_binomial_out_of_range_is_zero():
-    table = BinomialTable()
-    assert table.value(5, -1) == 0.0
-    assert table.value(5, 6) == 0.0
-    with pytest.raises(DomainError):
-        binomial(-1, 0)
-
-
-def test_binomial_beyond_exact_limit_matches_comb():
-    table = BinomialTable()
-    for n, k in ((200, 3), (500, 250), (1200, 17)):
-        expected = math.comb(n, k)
-        assert table.value(n, k) == pytest.approx(float(expected), rel=1e-12)
-
-
-def test_binomial_row():
-    table = BinomialTable()
-    row = table.row(9)
-    assert row.tolist() == [float(math.comb(9, k)) for k in range(10)]
 
 
 def test_gauss_legendre_exact_for_high_degree():
@@ -108,22 +74,6 @@ def test_grid_points_immutable():
     grid = unit_grid(11)
     with pytest.raises(ValueError):
         grid.points[0] = 5.0
-
-
-def test_sup_on_grid_first_argmax():
-    grid = Grid(lo=0.0, hi=1.0, count=5)
-    value, arg = sup_on_grid(lambda x: np.where(x > 0.6, 1.0, np.where(x > 0.2, 2.0, 0.0)), grid)
-    assert value == 2.0
-    assert arg == 0.25  # ties resolve to the first grid point
-
-
-def test_fsum_product_matches_rational_dot():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-1.0, 1.0, size=64)
-    # Adversarial cancellation: large paired terms of opposite sign.
-    b = np.concatenate([np.full(32, 1e12), np.full(32, -1e12)]) + rng.uniform(size=64)
-    exact = sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
-    assert fsum_product(a, b) == pytest.approx(float(exact), rel=1e-15, abs=1e-9)
 
 
 def test_evaluate_on_scalar_fallback():

@@ -172,6 +172,13 @@ def test_apply_shapes():
     arr = apply(cfg, table1_target, np.array([0.4, 0.6]))
     assert arr.shape == (2,)
     assert arr[0] == pytest.approx(scalar, abs=1e-15)
+    # A point's value does not depend on the batch it arrives in.
+    ys = np.linspace(0.0, 1.0, 1001)
+    for m in (20, 1000):
+        cfg = OperatorConfig(m=m, q=5, lam=0.5, rho=0.1)
+        batch = apply(cfg, table1_target, ys)
+        single = np.array([apply(cfg, table1_target, float(y)) for y in ys])
+        assert np.array_equal(batch, single), m
 
 
 def test_closed_e1_crossing_point():
