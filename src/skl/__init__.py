@@ -2,7 +2,7 @@
 
 The package evaluates a family of positive linear operators built from a
 blended Bernstein-type basis with local integral sampling, computes their
-raw and central moments on two independent paths, estimates moduli of
+raw and central moments by exact summation, estimates moduli of
 continuity, and assembles the published error bounds.  A command-line
 surface regenerates the reference table and figures and runs the
 verification suites; see ``skl --help``.
@@ -22,29 +22,17 @@ from .analysis import (
 )
 from .basis import BasisParams, basis_row, basis_rows, bernstein_rows
 from .bivariate import (
-    BiCentralMomentSet,
-    BiMomentSet,
     BivariateConfig,
     SeparableFunction,
     SurfaceTable,
     apply_bi,
-    bi_central_moments,
-    bi_moments,
     surface_table,
     window_deltas,
 )
 from .errors import DomainError, EvaluationError, UsageError
 from .functions import Expression, ExpressionError, parse_expression, resolve_function
-from .modulus import (
-    ModulusEstimate,
-    ModulusScan,
-    SurfaceModulus,
-    modulus,
-    modulus_scan,
-    partial_moduli,
-    surface_modulus,
-)
-from .numerics import Grid, integrate_unit, unit_grid
+from .modulus import ModulusScan, SurfaceModulus, modulus_scan, surface_modulus
+from .numerics import Grid, unit_grid
 from .reports import (
     AuditRecord,
     AuditReport,
@@ -60,14 +48,10 @@ from .reports import (
     table1_errors,
 )
 from .univariate import (
-    CentralMomentSet,
     ErrorTable,
-    MomentSet,
     OperatorConfig,
     apply,
-    central_moments,
     error_curve,
-    moments_closed,
     monomial_kantorovich_integral,
     monomial_moment,
     oracle_central_moments,
@@ -82,10 +66,7 @@ __all__ = [
     "AuditReport",
     "AuditSummary",
     "BasisParams",
-    "BiCentralMomentSet",
-    "BiMomentSet",
     "BivariateConfig",
-    "CentralMomentSet",
     "CheckResult",
     "DomainError",
     "ErrorTable",
@@ -94,9 +75,7 @@ __all__ = [
     "ExpressionError",
     "Grid",
     "LipschitzParams",
-    "ModulusEstimate",
     "ModulusScan",
-    "MomentSet",
     "OperatorConfig",
     "RunConfig",
     "SeparableFunction",
@@ -111,29 +90,22 @@ __all__ = [
     "basis_row",
     "basis_rows",
     "bernstein_rows",
-    "bi_central_moments",
-    "bi_moments",
     "bound_thm33",
     "bound_thm41",
     "bound_thm71",
     "bound_thm72",
-    "central_moments",
     "cmd_figure",
     "cmd_table1",
     "cmd_verify",
     "error_curve",
-    "integrate_unit",
     "korovkin_defects",
     "moment_defect_curve",
-    "moments_closed",
-    "modulus",
     "modulus_scan",
     "monomial_kantorovich_integral",
     "monomial_moment",
     "oracle_central_moments",
     "oracle_moments",
     "parse_expression",
-    "partial_moduli",
     "point_delta",
     "resolve_function",
     "run_audit",

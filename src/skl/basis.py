@@ -109,11 +109,31 @@ def basis_rows(params: BasisParams, ys) -> np.ndarray:
     elevations b_{n+1,k} = (1-y) b_{n,k} + y b_{n,k-1} turn b into
     b_{M,i} = (1-y)**2 b_i + 2y(1-y) b_{i-1} + y**2 b_{i-2}.  Blending the
     two legs gives p_i as three taps on b, each applied in place.
+
+    Non-finite points always raise.  Rows of points in [0, 1] cannot
+    overflow; ``unchecked`` points outside it are computed with floating
+    point warnings silenced and raise when their row is not finite.
     """
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    outside = ~((arr >= 0.0) & (arr <= 1.0))
-    if not params.unchecked and outside.any():
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DomainError(f"evaluation point {float(arr[~finite][0])!r} is not finite")
+    outside = (arr < 0.0) | (arr > 1.0)
+    if not outside.any():
+        return _blended_rows(params, arr)
+    if not params.unchecked:
         raise DomainError(f"evaluation point {float(arr[outside][0])!r} outside [0, 1]")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _blended_rows(params, arr)
+    overflowed = outside & ~np.isfinite(rows).all(axis=1)
+    if overflowed.any():
+        raise DomainError(
+            f"basis row at evaluation point {float(arr[overflowed][0])!r} is not finite"
+        )
+    return rows
+
+
+def _blended_rows(params: BasisParams, arr: np.ndarray) -> np.ndarray:
     M, lam = params.degree, params.lam
     low = bernstein_rows(M - 2, arr)
     y = arr[:, None]

@@ -3,13 +3,12 @@
 The two-variable operator is the tensor product of two univariate instances
 sharing one node exponent rho.  Separable targets factor into two univariate
 applications; generic targets go through full tensor quadrature, chunked per
-window row to bound memory.  Published closed-form moment identities are
-again transcribed verbatim for auditing and kept out of the numeric paths.
+window row to bound memory.  Its moments are the per-axis oracle moments;
+the published bivariate closed forms live in :mod:`.audit`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -17,17 +16,7 @@ import numpy as np
 
 from .basis import basis_rows
 from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
-from .univariate import (
-    CSV_FLOAT_FORMAT,
-    OperatorConfig,
-    _closed_e1,
-    _closed_e2,
-    _closed_psi1,
-    _closed_psi2,
-    apply,
-    monomial_moment,
-    oracle_central_moments,
-)
+from .univariate import CSV_FLOAT_FORMAT, OperatorConfig, apply, point_delta
 
 
 @dataclass(frozen=True)
@@ -147,133 +136,9 @@ def apply_bi(
     return result
 
 
-@dataclass(frozen=True)
-class BiMomentSet:
-    """Raw product moments K(y1^i * y2^j), closed and oracle paths.
-
-    Closed fields transcribe the published identities verbatim, including
-    the e01 row that mixes first-axis parameters into the second coordinate;
-    oracle fields come from the univariate summation path and the exact
-    tensor factorization e11 = e10 * e01.
-    """
-
-    at: tuple[float, float]
-    e00: float
-    e10: float
-    e01: float
-    e11: float
-    e20: float
-    e02: float
-    oracle_e00: float
-    oracle_e10: float
-    oracle_e01: float
-    oracle_e11: float
-    oracle_e20: float
-    oracle_e02: float
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max(
-            abs(self.e00 - self.oracle_e00),
-            abs(self.e10 - self.oracle_e10),
-            abs(self.e01 - self.oracle_e01),
-            abs(self.e11 - self.oracle_e11),
-            abs(self.e20 - self.oracle_e20),
-            abs(self.e02 - self.oracle_e02),
-        )
-
-
-@dataclass(frozen=True)
-class BiCentralMomentSet:
-    """Central product moments K((t - y1)^i (s - y2)^j), both paths.
-
-    The closed eta01 slope and the eta02 linear coefficient carry
-    first-axis parameters exactly as published; oracle fields factor
-    through the per-axis central moments.
-    """
-
-    at: tuple[float, float]
-    eta10: float
-    eta01: float
-    eta11: float
-    eta20: float
-    eta02: float
-    oracle_eta10: float
-    oracle_eta01: float
-    oracle_eta11: float
-    oracle_eta20: float
-    oracle_eta02: float
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max(
-            abs(self.eta10 - self.oracle_eta10),
-            abs(self.eta01 - self.oracle_eta01),
-            abs(self.eta11 - self.oracle_eta11),
-            abs(self.eta20 - self.oracle_eta20),
-            abs(self.eta02 - self.oracle_eta02),
-        )
-
-
-def bi_moments(config: BivariateConfig, y1: float, y2: float) -> BiMomentSet:
-    """Raw product moments on both paths."""
-    c1, c2 = config.axis1, config.axis2
-    m1, m2 = float(config.m1), float(config.m2)
-    lam1, lam2 = config.lam1, config.lam2
-    rho = config.rho
-    oe10 = monomial_moment(c1, y1, 1)
-    oe01 = monomial_moment(c2, y2, 1)
-    closed_e10 = _closed_e1(m1, lam1, rho, y1)
-    closed_e01 = _closed_e1(m2, lam2, rho, y2, slope_n=m1, slope_lam=lam1)
-    return BiMomentSet(
-        at=(y1, y2),
-        e00=1.0,
-        e10=closed_e10,
-        e01=closed_e01,
-        e11=closed_e10 * _closed_e1(m2, lam2, rho, y2),
-        e20=_closed_e2(m1, lam1, rho, y1),
-        e02=_closed_e2(m2, lam2, rho, y2),
-        oracle_e00=monomial_moment(c1, y1, 0) * monomial_moment(c2, y2, 0),
-        oracle_e10=oe10,
-        oracle_e01=oe01,
-        oracle_e11=oe10 * oe01,
-        oracle_e20=monomial_moment(c1, y1, 2),
-        oracle_e02=monomial_moment(c2, y2, 2),
-    )
-
-
-def bi_central_moments(config: BivariateConfig, y1: float, y2: float) -> BiCentralMomentSet:
-    """Central product moments on both paths."""
-    m1, m2 = float(config.m1), float(config.m2)
-    lam1, lam2 = config.lam1, config.lam2
-    rho = config.rho
-    opsi1_1, opsi2_1 = oracle_central_moments(config.axis1, y1)
-    opsi1_2, opsi2_2 = oracle_central_moments(config.axis2, y2)
-    closed_eta10 = _closed_psi1(m1, lam1, rho, y1)
-    closed_eta01 = _closed_psi1(m2, lam2, rho, y2, slope_lam=lam1)
-    closed_eta02 = _closed_psi2(m2, lam2, rho, y2, slope_n=m1)
-    return BiCentralMomentSet(
-        at=(y1, y2),
-        eta10=closed_eta10,
-        eta01=closed_eta01,
-        eta11=closed_eta10 * closed_eta01,
-        eta20=_closed_psi2(m1, lam1, rho, y1),
-        eta02=closed_eta02,
-        oracle_eta10=opsi1_1,
-        oracle_eta01=opsi1_2,
-        oracle_eta11=opsi1_1 * opsi1_2,
-        oracle_eta20=opsi2_1,
-        oracle_eta02=opsi2_2,
-    )
-
-
 def window_deltas(config: BivariateConfig, y1: float, y2: float) -> tuple[float, float]:
-    """Per-axis concentration radii (sqrt of oracle second central moments)."""
-    cm = bi_central_moments(config, y1, y2)
-    return (
-        math.sqrt(max(cm.oracle_eta20, 0.0)),
-        math.sqrt(max(cm.oracle_eta02, 0.0)),
-    )
+    """Per-axis concentration radii, one :func:`point_delta` per axis."""
+    return point_delta(config.axis1, y1), point_delta(config.axis2, y2)
 
 
 @dataclass(frozen=True)

@@ -24,24 +24,6 @@ from .numerics import DEFAULT_SUP_GRID_POINTS, evaluate_on
 #: keeps surface sampling cheap while resolving the window widths in use.
 DEFAULT_SURFACE_POINTS = 501
 
-#: The one-shot estimators refuse grids too coarse to mean anything.
-MIN_RESOLUTION = 100
-
-
-@dataclass(frozen=True)
-class ModulusEstimate:
-    """One modulus query result.
-
-    ``kind`` is "full" for the univariate modulus and "partial_1" or
-    "partial_2" for the coordinate moduli of a bivariate function.  The
-    value is a grid lower bound of the true supremum.
-    """
-
-    delta: float
-    value: float
-    kind: str
-    grid_resolution: int
-
 
 def _window_length(delta: float, step: float) -> int:
     """Samples in the longest run of grid points whose span stays within delta."""
@@ -116,29 +98,6 @@ def modulus_scan(
     return ModulusScan(lo=lo, hi=hi, values=values)
 
 
-def modulus(
-    f: Callable,
-    delta: float,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    resolution: int = DEFAULT_SUP_GRID_POINTS,
-) -> ModulusEstimate:
-    """Grid estimate of omega(f; delta) on [lo, hi].
-
-    Requires delta > 0 and a grid of at least MIN_RESOLUTION points; use
-    :func:`modulus_scan` directly for exploratory queries outside those
-    limits.
-    """
-    if not math.isfinite(delta) or delta <= 0.0:
-        raise DomainError("delta must be finite and > 0")
-    if resolution < MIN_RESOLUTION:
-        raise DomainError(f"resolution must be >= {MIN_RESOLUTION}")
-    scan = modulus_scan(f, lo=lo, hi=hi, count=resolution)
-    return ModulusEstimate(
-        delta=delta, value=scan.value_at(delta), kind="full", grid_resolution=resolution
-    )
-
-
 @dataclass(frozen=True)
 class SurfaceModulus:
     """Sampled bivariate function prepared for partial-modulus queries.
@@ -189,35 +148,3 @@ def surface_modulus(
     values = evaluate_on(g, X, Y)
     values.setflags(write=False)
     return SurfaceModulus(lo1=lo1, hi1=hi1, lo2=lo2, hi2=hi2, values=values)
-
-
-def partial_moduli(
-    g: Callable,
-    delta1: float,
-    delta2: float,
-    lo1: float = 0.0,
-    hi1: float = 1.0,
-    lo2: float = 0.0,
-    hi2: float = 1.0,
-    resolution: int = DEFAULT_SURFACE_POINTS,
-) -> tuple[ModulusEstimate, ModulusEstimate]:
-    """Partial moduli (omega_1, omega_2) of a bivariate function.
-
-    omega_1 freezes the second coordinate and perturbs the first within
-    delta1; omega_2 does the reverse.  Both are grid lower bounds on the
-    rectangle [lo1, hi1] x [lo2, hi2].
-    """
-    for d in (delta1, delta2):
-        if not math.isfinite(d) or d <= 0.0:
-            raise DomainError("deltas must be finite and > 0")
-    sm = surface_modulus(g, lo1=lo1, hi1=hi1, lo2=lo2, hi2=hi2, count=resolution)
-    return (
-        ModulusEstimate(
-            delta=delta1, value=sm.omega1(delta1), kind="partial_1",
-            grid_resolution=resolution,
-        ),
-        ModulusEstimate(
-            delta=delta2, value=sm.omega2(delta2), kind="partial_2",
-            grid_resolution=resolution,
-        ),
-    )

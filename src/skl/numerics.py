@@ -183,22 +183,6 @@ def evaluate_on(f: Callable, *xs: np.ndarray) -> np.ndarray:
     return values
 
 
-def integrate_unit(
-    f: Callable,
-    subdivisions: int = DEFAULT_SUBDIVISIONS,
-    origin_levels: int = 0,
-) -> float:
-    """Composite Gauss-Legendre estimate of the integral of ``f`` over [0, 1].
-
-    Deterministic for a fixed cell layout.  ``origin_levels`` enables the
-    geometric refinement toward t = 0 used for integrands like t**rho with
-    rho < 1, whose derivative blows up at the origin.
-    """
-    nodes, weights = composite_nodes(subdivisions, origin_levels)
-    values = evaluate_on(f, nodes)
-    return float(np.dot(weights, values))
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform closed grid with both endpoints included."""

@@ -8,10 +8,10 @@ keeps them strictly apart:
 * asserted invariants (partition of unity, positivity, linearity, tensor
   factorization, central-moment algebra, quadrature-vs-summation agreement,
   the Korovkin trend, bound soundness) gate the exit status;
-* the closed-form audit compares the transcribed moment identities against
-  the oracle and is reported only.  The identities are known to diverge
-  from the operator, so wiring them into the verdict would turn a
-  documented discrepancy into a permanent failure.
+* the closed-form audit compares the transcribed moment identities, which
+  :mod:`.audit` holds, against the oracle and is reported only.  The
+  identities are known to diverge from the operator, so wiring them into
+  the verdict would turn a documented discrepancy into a permanent failure.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from .analysis import (
     bound_thm72,
     korovkin_defects,
 )
+from .audit import bi_moment_rows, uni_moment_rows
 from .basis import BasisParams, basis_row
 from .bivariate import (
     BivariateConfig,
     SeparableFunction,
     apply_bi,
-    bi_central_moments,
-    bi_moments,
     surface_table,
     window_deltas,
 )
@@ -69,10 +68,10 @@ from .univariate import (
     CSV_FLOAT_FORMAT,
     OperatorConfig,
     apply,
-    central_moments,
     error_curve,
-    moments_closed,
+    identity_residual,
     monomial_moment,
+    oracle_central_moments,
 )
 
 #: Fixed seed for the randomized verification sweeps; the verify verdict is
@@ -381,19 +380,14 @@ def cmd_moments(config: RunConfig):
     if config.u is None:
         raise UsageError("moments needs --u")
     op = config.operator()
-    ms = moments_closed(op, config.u)
-    cs = central_moments(op, config.u)
-    for name, closed, oracle in (
-        ("e0", ms.e0, ms.oracle_e0),
-        ("e1", ms.e1, ms.oracle_e1),
-        ("e2", ms.e2, ms.oracle_e2),
-        ("psi1", cs.psi1, cs.oracle_psi1),
-        ("psi2", cs.psi2, cs.oracle_psi2),
-    ):
-        print(f"{name} closed {_sig(closed)} oracle {_sig(oracle)}")
-    print(f"max raw discrepancy {_sig(ms.max_discrepancy)}")
-    print(f"central identity residual {_sig(cs.identity_residual)}")
-    return ms, cs
+    rows = uni_moment_rows(op, config.u)
+    for family in rows.values():
+        for name, (closed, oracle) in family.items():
+            print(f"{name} closed {_sig(closed)} oracle {_sig(oracle)}")
+    raw_gap = max(abs(closed - oracle) for closed, oracle in rows["uni-raw"].values())
+    print(f"max raw discrepancy {_sig(raw_gap)}")
+    print(f"central identity residual {_sig(identity_residual(op, config.u))}")
+    return rows
 
 
 def cmd_bivariate(config: RunConfig):
@@ -636,9 +630,9 @@ def _check_central_algebra(rng) -> CheckResult:
     worst_psi2 = 0.0
     for _ in range(200):
         config = _random_operator(rng)
-        cs = central_moments(config, float(rng.uniform()))
-        worst_residual = max(worst_residual, abs(cs.identity_residual))
-        worst_psi2 = min(worst_psi2, cs.oracle_psi2)
+        u = float(rng.uniform())
+        worst_residual = max(worst_residual, abs(identity_residual(config, u)))
+        worst_psi2 = min(worst_psi2, oracle_central_moments(config, u)[1])
     passed = worst_residual <= 1e-12 and worst_psi2 >= -1e-12
     return CheckResult(
         name="central-moment-algebra",
@@ -767,20 +761,6 @@ def _audit_params_text(**kwargs) -> str:
     return " ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}" for k, v in kwargs.items())
 
 
-def _worst_row(rows: dict[str, tuple[float, float]]) -> tuple[str, float, float]:
-    name = max(rows, key=lambda r: abs(rows[r][0] - rows[r][1]))
-    closed, oracle = rows[name]
-    return name, closed, oracle
-
-
-def _audit_family(name: str, records: list[AuditRecord]) -> AuditSummary:
-    max_gap = max((r.abs_gap for r in records), default=0.0)
-    return AuditSummary(
-        name=name, points=len(records), max_gap=max_gap,
-        pass_threshold=AUDIT_GAP_THRESHOLD,
-    )
-
-
 def run_audit(points: int, seed: int = VERIFY_SEED) -> AuditReport:
     """Compare every transcribed moment identity against the oracle.
 
@@ -789,37 +769,23 @@ def run_audit(points: int, seed: int = VERIFY_SEED) -> AuditReport:
     all four families, which the summaries report without failing anything.
     """
     rng = np.random.default_rng(seed + 1)
-    records: list[AuditRecord] = []
-    summaries: list[AuditSummary] = []
+    families: dict[str, list[AuditRecord]] = {}
 
-    uni_raw: list[AuditRecord] = []
-    uni_central: list[AuditRecord] = []
+    def record(params: str, rows: dict[str, dict[str, tuple[float, float]]]) -> None:
+        for family, table in rows.items():
+            row = max(table, key=lambda r: abs(table[r][0] - table[r][1]))
+            families.setdefault(family, []).append(
+                AuditRecord(f"{family}[{row}]", params, *table[row])
+            )
+
     for _ in range(points):
         config = _random_operator(rng)
         u = float(rng.uniform())
         params = _audit_params_text(
             m=config.m, q=config.q, lam=config.lam, rho=config.rho, u=u
         )
-        ms = moments_closed(config, u)
-        row, closed, oracle = _worst_row(
-            {
-                "e0": (ms.e0, ms.oracle_e0),
-                "e1": (ms.e1, ms.oracle_e1),
-                "e2": (ms.e2, ms.oracle_e2),
-            }
-        )
-        uni_raw.append(AuditRecord(f"uni-raw[{row}]", params, closed, oracle))
-        cs = central_moments(config, u)
-        row, closed, oracle = _worst_row(
-            {
-                "psi1": (cs.psi1, cs.oracle_psi1),
-                "psi2": (cs.psi2, cs.oracle_psi2),
-            }
-        )
-        uni_central.append(AuditRecord(f"uni-central[{row}]", params, closed, oracle))
+        record(params, uni_moment_rows(config, u))
 
-    bi_raw: list[AuditRecord] = []
-    bi_central: list[AuditRecord] = []
     for _ in range(points):
         config = BivariateConfig(
             m1=int(rng.integers(2, 26)),
@@ -835,39 +801,18 @@ def run_audit(points: int, seed: int = VERIFY_SEED) -> AuditReport:
             m1=config.m1, m2=config.m2, q1=config.q1, q2=config.q2,
             lam1=config.lam1, lam2=config.lam2, rho=config.rho, y1=y1, y2=y2,
         )
-        bm = bi_moments(config, y1, y2)
-        row, closed, oracle = _worst_row(
-            {
-                "e00": (bm.e00, bm.oracle_e00),
-                "e10": (bm.e10, bm.oracle_e10),
-                "e01": (bm.e01, bm.oracle_e01),
-                "e11": (bm.e11, bm.oracle_e11),
-                "e20": (bm.e20, bm.oracle_e20),
-                "e02": (bm.e02, bm.oracle_e02),
-            }
-        )
-        bi_raw.append(AuditRecord(f"bi-raw[{row}]", params, closed, oracle))
-        bc = bi_central_moments(config, y1, y2)
-        row, closed, oracle = _worst_row(
-            {
-                "eta10": (bc.eta10, bc.oracle_eta10),
-                "eta01": (bc.eta01, bc.oracle_eta01),
-                "eta11": (bc.eta11, bc.oracle_eta11),
-                "eta20": (bc.eta20, bc.oracle_eta20),
-                "eta02": (bc.eta02, bc.oracle_eta02),
-            }
-        )
-        bi_central.append(AuditRecord(f"bi-central[{row}]", params, closed, oracle))
+        record(params, bi_moment_rows(config, y1, y2))
 
-    for name, recs in (
-        ("uni-raw", uni_raw),
-        ("uni-central", uni_central),
-        ("bi-raw", bi_raw),
-        ("bi-central", bi_central),
-    ):
-        records.extend(recs)
-        summaries.append(_audit_family(name, recs))
-    return AuditReport(records=tuple(records), summaries=tuple(summaries))
+    return AuditReport(
+        records=tuple(r for recs in families.values() for r in recs),
+        summaries=tuple(
+            AuditSummary(
+                name=name, points=len(recs), max_gap=max(r.abs_gap for r in recs),
+                pass_threshold=AUDIT_GAP_THRESHOLD,
+            )
+            for name, recs in families.items()
+        ),
+    )
 
 
 AUDIT_POINTS = {"fast": 25, "full": 100}

@@ -4,11 +4,10 @@ The operator averages a target function over sliding windows
 
     K(f; y) = sum_i p_i(y) * integral_0^1 f((i + t**rho) / (m + 1)) dt
 
-with the blended basis weights p_i from :mod:`.basis`.  Moments come in two
-flavours: the summation path (``monomial_moment`` and friends), which is the
-ground truth used everywhere downstream, and the published closed forms
-(``moments_closed``), which are kept verbatim for auditing and do not agree
-with the summation path; ``skl verify`` reports the gap.
+with the blended basis weights p_i from :mod:`.basis`.  Its moments come
+from exact summation only (``monomial_moment`` and friends), the ground
+truth used everywhere downstream.  The published closed forms live in
+:mod:`.audit`, which sets them beside these oracle values.
 """
 
 from __future__ import annotations
@@ -135,120 +134,6 @@ def monomial_moment(config: OperatorConfig, u: float, k: int) -> float:
     return float((weights * integrals).sum())
 
 
-@dataclass(frozen=True)
-class MomentSet:
-    """K(e_0), K(e_1), K(e_2) at one point, on both computation paths.
-
-    ``e0..e2`` hold the published closed forms transcribed verbatim;
-    ``oracle_e0..oracle_e2`` hold the exact-summation values.  Downstream
-    numerics must consume the oracle fields; the closed fields exist for the
-    audit, and the two disagree (the closed forms drop the degree extension
-    q and carry inconsistent lower-order terms).
-    """
-
-    at: float
-    e0: float
-    e1: float
-    e2: float
-    oracle_e0: float
-    oracle_e1: float
-    oracle_e2: float
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max(
-            abs(self.e0 - self.oracle_e0),
-            abs(self.e1 - self.oracle_e1),
-            abs(self.e2 - self.oracle_e2),
-        )
-
-
-@dataclass(frozen=True)
-class CentralMomentSet:
-    """Central moments K((s - u)^k; u), closed and oracle paths.
-
-    ``identity_residual`` is oracle psi2 minus the raw-moment combination
-    e2 - 2u*e1 + u^2 built from oracle raw moments.  The two oracle routes
-    sum different per-window integrands, so the residual is a genuine
-    cross-check, algebraically zero and numerically tiny.
-    """
-
-    at: float
-    psi1: float
-    psi2: float
-    oracle_psi1: float
-    oracle_psi2: float
-    identity_residual: float
-
-
-# ``slope_n`` and ``slope_lam`` (default n and lam) stand in for the
-# parameters in the numerator of the u coefficient, where the published
-# bivariate e01, eta01 and eta02 rows carry the first axis's m1 and lam1.
-def _closed_e1(
-    n: float, lam: float, rho: float, u: float, slope_n=None, slope_lam=None
-) -> float:
-    slope_n = n if slope_n is None else slope_n
-    slope_lam = lam if slope_lam is None else slope_lam
-    return ((slope_n + 2.0 * (slope_lam - 1.0)) / (n + 1.0)) * u + (
-        (lam + 1.0) * (rho + 1.0) + 1.0
-    ) / (2.0 * (rho + 1.0) * (n + 1.0))
-
-
-def _closed_e2_constant(n: float, lam: float, rho: float) -> float:
-    return (
-        2.0 * n * (2.0 * rho + 1.0)
-        + (lam + 1.0) * (2.0 * rho + 1.0) * ((lam + 2.0) * (rho + 1.0) + 2.0)
-        + rho
-        + 1.0
-    ) / ((2.0 * rho + 1.0) * (rho + 1.0) * (n + 1.0) ** 2)
-
-
-def _closed_e2(n: float, lam: float, rho: float, u: float) -> float:
-    return (
-        (1.0 + (4.0 * lam - 3.0) / n) * (n * n * u * u) / ((n + 1.0) ** 2)
-        + (
-            (rho + 1.0) * (n * (2.0 * lam + 3.0) + (lam - 1.0) * (2.0 * lam + 7.0))
-            + 4.0 * (lam - 1.0)
-        )
-        / ((rho + 1.0) * (n + 1.0) ** 2)
-        * u
-        + _closed_e2_constant(n, lam, rho)
-    )
-
-
-def _closed_psi1(n: float, lam: float, rho: float, u: float, slope_lam=None) -> float:
-    slope_lam = lam if slope_lam is None else slope_lam
-    return ((2.0 * slope_lam - 3.0) / (n + 1.0)) * u + (
-        (lam + 1.0) * (rho + 1.0) + 1.0
-    ) / ((rho + 1.0) * (n + 1.0))
-
-
-def _closed_psi2(n: float, lam: float, rho: float, u: float, slope_n=None) -> float:
-    slope_n = n if slope_n is None else slope_n
-    return (
-        (
-            (1.0 + (4.0 * lam - 3.0) / n) * (n * n) / ((n + 1.0) ** 2)
-            - (2.0 * n + 4.0 * lam - 1.0) / (n + 1.0)
-            + 1.0
-        )
-        * u
-        * u
-        + (
-            (rho + 1.0)
-            * (
-                slope_n * (2.0 * lam + 3.0)
-                + (lam - 1.0) * (2.0 * lam + 7.0)
-                - 2.0 * (lam + 1.0)
-            )
-            + lam
-            - 6.0
-        )
-        / ((rho + 1.0) * (n + 1.0) ** 2)
-        * u
-        + _closed_e2_constant(n, lam, rho)
-    )
-
-
 def oracle_moments(config: OperatorConfig, u: float) -> tuple[float, float, float]:
     """(e0, e1, e2) through the summation path only."""
     weights = basis_row(config.basis, u)
@@ -260,21 +145,6 @@ def oracle_moments(config: OperatorConfig, u: float) -> tuple[float, float, floa
     )
     e0, e1, e2 = (weights * columns).sum(axis=1)
     return float(e0), float(e1), float(e2)
-
-
-def moments_closed(config: OperatorConfig, u: float) -> MomentSet:
-    """Moments on both paths: published closed forms plus the oracle."""
-    n = float(config.m)
-    e0, e1, e2 = oracle_moments(config, u)
-    return MomentSet(
-        at=u,
-        e0=1.0,
-        e1=_closed_e1(n, config.lam, config.rho, u),
-        e2=_closed_e2(n, config.lam, config.rho, u),
-        oracle_e0=e0,
-        oracle_e1=e1,
-        oracle_e2=e2,
-    )
 
 
 def oracle_central_moments(config: OperatorConfig, u: float) -> tuple[float, float]:
@@ -301,35 +171,16 @@ def oracle_central_moments(config: OperatorConfig, u: float) -> tuple[float, flo
     return float((weights * first).sum()), float((weights * second).sum())
 
 
-def central_moments(config: OperatorConfig, u: float) -> CentralMomentSet:
-    """Central moments on both paths plus the raw-vs-central residual."""
-    n = float(config.m)
-    psi1, psi2 = oracle_central_moments(config, u)
-    e0, e1, e2 = oracle_moments(config, u)
-    residual = psi2 - (e2 - 2.0 * u * e1 + u * u * e0)
-    return CentralMomentSet(
-        at=u,
-        psi1=_closed_psi1(n, config.lam, config.rho, u),
-        psi2=_closed_psi2(n, config.lam, config.rho, u),
-        oracle_psi1=psi1,
-        oracle_psi2=psi2,
-        identity_residual=residual,
-    )
+def identity_residual(config: OperatorConfig, u: float) -> float:
+    """Oracle psi2 minus e2 - 2u*e1 + u^2*e0 built from the oracle raw moments.
 
-
-def closed_identity_residual(config: OperatorConfig, u: float) -> float:
-    """Internal-consistency defect of the published central moments.
-
-    Audit-only: closed psi2 against the same combination of closed raw
-    moments.  Nonzero because the published psi1/psi2 do not match the
-    published e1/e2 they were derived from.
+    The two oracle routes sum different per-window integrands, so the
+    residual is a genuine cross-check, algebraically zero and numerically
+    tiny.
     """
-    n = float(config.m)
-    lam, rho = config.lam, config.rho
-    e1 = _closed_e1(n, lam, rho, u)
-    e2 = _closed_e2(n, lam, rho, u)
-    psi2 = _closed_psi2(n, lam, rho, u)
-    return psi2 - (e2 - 2.0 * u * e1 + u * u)
+    psi2 = oracle_central_moments(config, u)[1]
+    e0, e1, e2 = oracle_moments(config, u)
+    return psi2 - (e2 - 2.0 * u * e1 + u * u * e0)
 
 
 @dataclass(frozen=True)

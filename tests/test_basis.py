@@ -125,3 +125,20 @@ def test_unchecked_skips_range_guards():
     params = BasisParams(m=5, q=0, lam=0.5, unchecked=True)
     row = basis_row(params, 1.1)  # outside [0,1], allowed when unchecked
     assert np.all(np.isfinite(row))
+
+
+def test_unchecked_rejects_non_finite_rows():
+    # unchecked skips the [0, 1] range check only: non-finite points, and
+    # points far enough outside that their row overflows, still raise, and
+    # no floating point warning escapes (pytest turns those into errors).
+    params = BasisParams(m=5, unchecked=True)
+    with pytest.raises(DomainError, match="nan is not finite"):
+        basis_rows(params, [float("nan")])
+    for y in (math.inf, -math.inf):
+        with pytest.raises(DomainError, match="is not finite"):
+            basis_rows(params, [0.5, y])
+    with pytest.raises(DomainError, match="point 1e\\+300 is not finite"):
+        basis_rows(params, [0.5, 1e300])
+    # At high degree a modest point overflows: sum |b_k(1.7)| = 2.4**998.
+    with pytest.raises(DomainError, match="point 1.7 is not finite"):
+        basis_rows(BasisParams(m=1000, unchecked=True), [1.7])

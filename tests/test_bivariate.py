@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
+from skl.audit import bi_moment_rows
 from skl.bivariate import (
-    BiCentralMomentSet,
-    BiMomentSet,
     BivariateConfig,
     SeparableFunction,
     apply_bi,
-    bi_central_moments,
-    bi_moments,
     surface_table,
     window_deltas,
 )
 from skl.errors import DomainError
 from skl.numerics import Grid
-from skl.univariate import monomial_moment, oracle_central_moments
+from skl.univariate import monomial_moment, oracle_central_moments, point_delta
 
 #: Frozen from the exact rational reference: product moment K(s*t) at
 #: (0.4, 0.6) for m1=5, m2=7, q1=1, q2=2, lam1=1/4, lam2=3/4, rho=2,
@@ -106,37 +103,34 @@ def test_scalar_collapse_and_grid_shape():
 
 
 def test_bi_moments_oracle_columns():
-    bm = bi_moments(CONFIG, 0.4, 0.6)
-    assert isinstance(bm, BiMomentSet)
-    assert bm.at == (0.4, 0.6)
-    assert bm.oracle_e00 == pytest.approx(1.0, abs=1e-14)
-    assert bm.oracle_e11 == pytest.approx(BI_E11_FROZEN, abs=1e-14)
-    assert bm.oracle_e11 == pytest.approx(bm.oracle_e10 * bm.oracle_e01, abs=1e-15)
-    assert bm.oracle_e20 == pytest.approx(monomial_moment(CONFIG.axis1, 0.4, 2), abs=1e-15)
+    raw = bi_moment_rows(CONFIG, 0.4, 0.6)["bi-raw"]
+    assert list(raw) == ["e00", "e10", "e01", "e11", "e20", "e02"]
+    oracle = {row: value for row, (_, value) in raw.items()}
+    assert oracle["e00"] == pytest.approx(1.0, abs=1e-14)
+    assert oracle["e11"] == pytest.approx(BI_E11_FROZEN, abs=1e-14)
+    assert oracle["e11"] == pytest.approx(oracle["e10"] * oracle["e01"], abs=1e-15)
+    assert oracle["e20"] == pytest.approx(monomial_moment(CONFIG.axis1, 0.4, 2), abs=1e-15)
     # Transcribed identities genuinely diverge from the operator.
-    assert bm.max_discrepancy > 1e-3
+    assert max(abs(closed - value) for closed, value in raw.values()) > 1e-3
 
 
 def test_bi_central_moments_oracle_columns():
-    bc = bi_central_moments(CONFIG, 0.4, 0.6)
-    assert isinstance(bc, BiCentralMomentSet)
+    central = bi_moment_rows(CONFIG, 0.4, 0.6)["bi-central"]
+    assert list(central) == ["eta10", "eta01", "eta11", "eta20", "eta02"]
+    oracle = {row: value for row, (_, value) in central.items()}
     psi1_1, psi2_1 = oracle_central_moments(CONFIG.axis1, 0.4)
     psi1_2, psi2_2 = oracle_central_moments(CONFIG.axis2, 0.6)
-    assert bc.oracle_eta10 == pytest.approx(psi1_1, abs=1e-15)
-    assert bc.oracle_eta01 == pytest.approx(psi1_2, abs=1e-15)
-    assert bc.oracle_eta20 == pytest.approx(psi2_1, abs=1e-15)
-    assert bc.oracle_eta02 == pytest.approx(psi2_2, abs=1e-15)
-    assert bc.oracle_eta11 == pytest.approx(psi1_1 * psi1_2, abs=1e-15)
+    assert oracle["eta10"] == pytest.approx(psi1_1, abs=1e-15)
+    assert oracle["eta01"] == pytest.approx(psi1_2, abs=1e-15)
+    assert oracle["eta20"] == pytest.approx(psi2_1, abs=1e-15)
+    assert oracle["eta02"] == pytest.approx(psi2_2, abs=1e-15)
+    assert oracle["eta11"] == pytest.approx(psi1_1 * psi1_2, abs=1e-15)
 
 
 def test_window_deltas_are_axis_radii():
     d1, d2 = window_deltas(CONFIG, 0.4, 0.6)
-    assert d1 == pytest.approx(
-        np.sqrt(max(oracle_central_moments(CONFIG.axis1, 0.4)[1], 0.0)), abs=1e-15
-    )
-    assert d2 == pytest.approx(
-        np.sqrt(max(oracle_central_moments(CONFIG.axis2, 0.6)[1], 0.0)), abs=1e-15
-    )
+    assert d1 == point_delta(CONFIG.axis1, 0.4)
+    assert d2 == point_delta(CONFIG.axis2, 0.6)
     assert d1 >= 0.0 and d2 >= 0.0
 
 

@@ -99,7 +99,20 @@ def test_main_usage_failures(capsys, tmp_path):
         "error: degree m + q = 1105 exceeds the command-line limit of 1024",  # q = 5
         "error: degree m + q = 1100 exceeds the command-line limit of 1024",
     ]
-    assert (err + divide + arithmetic + limits).count("error:") == 16
+    # unchecked skips the range check only: a non-finite point, or one whose
+    # basis row overflows, fails with one line and no warning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for u in ("nan", "inf", "1e300"):
+            assert main(["eval", "--m", "5", f"--u={u}", "--unchecked"]) == 1
+    assert not caught
+    unchecked = capsys.readouterr().err
+    assert unchecked.splitlines() == [
+        "error: evaluation point nan is not finite",
+        "error: evaluation point inf is not finite",
+        "error: basis row at evaluation point 1e+300 is not finite",
+    ]
+    assert (err + divide + arithmetic + limits + unchecked).count("error:") == 19
     # The library itself takes the degree the command line refuses.
     assert apply(OperatorConfig(m=1100), resolve_function("e0"), 0.5) == pytest.approx(
         1.0, abs=1e-12

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from skl.errors import DomainError
-from skl.modulus import (
-    ModulusEstimate,
-    ModulusScan,
-    SurfaceModulus,
-    modulus,
-    modulus_scan,
-    partial_moduli,
-    surface_modulus,
-)
+from skl.modulus import ModulusScan, SurfaceModulus, modulus_scan, surface_modulus
 
 #: omega(u^2; 0.1) on [0,1] is exactly 2*0.1 - 0.1^2.
 OMEGA_SQUARE_TENTH = 0.19
@@ -28,11 +20,9 @@ def brute_window_range(values, window):
 
 
 def test_square_modulus_anchor():
-    est = modulus(lambda u: u * u, 0.1)
-    assert isinstance(est, ModulusEstimate)
-    assert est.kind == "full"
-    assert est.value <= OMEGA_SQUARE_TENTH + 1e-12  # grid estimate is a lower bound
-    assert est.value == pytest.approx(OMEGA_SQUARE_TENTH, abs=2e-4)
+    value = modulus_scan(lambda u: u * u).value_at(0.1)
+    assert value <= OMEGA_SQUARE_TENTH + 1e-12  # grid estimate is a lower bound
+    assert value == pytest.approx(OMEGA_SQUARE_TENTH, abs=2e-4)
 
 
 def test_modulus_monotone_in_delta():
@@ -63,10 +53,6 @@ def test_value_at_zero_and_validation():
     with pytest.raises(DomainError):
         scan.value_at(-0.1)
     with pytest.raises(DomainError):
-        modulus(lambda u: u, 0.0)
-    with pytest.raises(DomainError):
-        modulus(lambda u: u, 0.1, resolution=50)
-    with pytest.raises(DomainError):
         modulus_scan(lambda u: u, 1.0, 0.0)
 
 
@@ -77,13 +63,9 @@ def test_identity_modulus_tracks_delta():
 
 
 def test_partial_moduli_coordinate_split():
-    om1, om2 = partial_moduli(lambda a, b: a + 0.0 * b, 0.2, 0.2, resolution=401)
-    assert om1.kind == "partial_1" and om2.kind == "partial_2"
-    assert om1.grid_resolution == 401
-    assert om1.value == pytest.approx(0.2, abs=2e-3)
-    assert om2.value == 0.0  # constant in the second coordinate
-    with pytest.raises(DomainError):
-        partial_moduli(lambda a, b: a * b, 0.0, 0.1)
+    sm = surface_modulus(lambda a, b: a + 0.0 * b, count=401)
+    assert sm.omega1(0.2) == pytest.approx(0.2, abs=2e-3)
+    assert sm.omega2(0.2) == 0.0  # constant in the second coordinate
 
 
 def test_surface_modulus_matches_brute_force(rng):

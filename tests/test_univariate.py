@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_moment, exact_window_integral
+from skl.audit import uni_moment_rows
 from skl.errors import DomainError
 from skl.functions import resolve_function
 from skl.numerics import (
@@ -19,14 +20,10 @@ from skl.numerics import (
     unit_grid,
 )
 from skl.univariate import (
-    CentralMomentSet,
-    MomentSet,
     OperatorConfig,
     apply,
-    central_moments,
-    closed_identity_residual,
     error_curve,
-    moments_closed,
+    identity_residual,
     monomial_kantorovich_integral,
     monomial_moment,
     oracle_central_moments,
@@ -185,33 +182,34 @@ def test_closed_e1_crossing_point():
     # At m=10, q=0, lambda=1/2, rho=1, u=1/2 the transcription and the
     # operator agree exactly: both give e1 = 1/2.
     cfg = OperatorConfig(m=10, q=0, lam=0.5, rho=1.0)
-    ms = moments_closed(cfg, 0.5)
-    assert ms.e1 == pytest.approx(0.5, abs=1e-15)
-    assert ms.oracle_e1 == pytest.approx(0.5, abs=1e-15)
+    closed, oracle = uni_moment_rows(cfg, 0.5)["uni-raw"]["e1"]
+    assert closed == pytest.approx(0.5, abs=1e-15)
+    assert oracle == pytest.approx(0.5, abs=1e-15)
 
 
-def test_moment_set_shape_and_discrepancy():
+def test_moment_rows_shape_and_discrepancy():
     cfg = OperatorConfig(m=10, q=5, lam=0.5, rho=0.1)
-    ms = moments_closed(cfg, 0.3)
-    assert isinstance(ms, MomentSet)
-    assert ms.at == 0.3
-    assert ms.e0 == 1.0
+    rows = uni_moment_rows(cfg, 0.3)
+    assert {family: list(table) for family, table in rows.items()} == {
+        "uni-raw": ["e0", "e1", "e2"],
+        "uni-central": ["psi1", "psi2"],
+    }
+    assert rows["uni-raw"]["e0"][0] == 1.0
+    # The oracle column is the summation path itself.
+    assert [oracle for _, oracle in rows["uni-raw"].values()] == list(oracle_moments(cfg, 0.3))
+    assert [oracle for _, oracle in rows["uni-central"].values()] == list(
+        oracle_central_moments(cfg, 0.3)
+    )
     # The transcribed forms ignore q and genuinely diverge from the
     # operator here; the gap is a documented feature, not noise.
-    assert ms.max_discrepancy > 1e-3
-    assert ms.max_discrepancy == max(
-        abs(ms.e0 - ms.oracle_e0),
-        abs(ms.e1 - ms.oracle_e1),
-        abs(ms.e2 - ms.oracle_e2),
-    )
+    assert max(abs(closed - oracle) for closed, oracle in rows["uni-raw"].values()) > 1e-3
 
 
 def test_frozen_central_moment():
     cfg = OperatorConfig(m=10, q=5, lam=0.5, rho=0.1)
-    cs = central_moments(cfg, 0.3)
-    assert isinstance(cs, CentralMomentSet)
-    assert cs.oracle_psi2 == pytest.approx(PSI2_10_5_HALF_TENTH_AT_03, abs=1e-14)
-    assert abs(cs.identity_residual) <= 1e-12
+    psi2 = oracle_central_moments(cfg, 0.3)[1]
+    assert psi2 == pytest.approx(PSI2_10_5_HALF_TENTH_AT_03, abs=1e-14)
+    assert abs(identity_residual(cfg, 0.3)) <= 1e-12
 
 
 @settings(max_examples=80, deadline=None)
@@ -224,9 +222,8 @@ def test_frozen_central_moment():
 )
 def test_central_moment_identity_property(m, q, lam, rho, u):
     cfg = OperatorConfig(m=m, q=q, lam=lam, rho=rho)
-    cs = central_moments(cfg, u)
-    assert abs(cs.identity_residual) <= 1e-12
-    assert cs.oracle_psi2 >= -1e-12
+    assert abs(identity_residual(cfg, u)) <= 1e-12
+    assert oracle_central_moments(cfg, u)[1] >= -1e-12
 
 
 def test_point_delta_is_sqrt_of_psi2():
@@ -240,7 +237,11 @@ def test_closed_identity_residual_nonzero():
     # built from the published raw moments; the defect is what the audit
     # reports.
     cfg = OperatorConfig(m=10, q=0, lam=0.5, rho=1.0)
-    assert abs(closed_identity_residual(cfg, 0.5)) > 1e-3
+    u = 0.5
+    rows = uni_moment_rows(cfg, u)
+    e0, e1, e2 = (closed for closed, _ in rows["uni-raw"].values())
+    psi2 = rows["uni-central"]["psi2"][0]
+    assert abs(psi2 - (e2 - 2.0 * u * e1 + u * u * e0)) > 1e-3
 
 
 def test_positivity_and_monotone_window(rng):
