@@ -10,13 +10,13 @@ the published bivariate closed forms live in :mod:`.audit`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .basis import basis_rows
 from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
-from .univariate import CSV_FLOAT_FORMAT, OperatorConfig, apply, point_delta
+from .univariate import OperatorConfig, apply, point_delta
 
 
 @dataclass(frozen=True)
@@ -157,19 +157,6 @@ class SurfaceTable:
     @property
     def sup_error(self) -> float:
         return float(self.errors.max())
-
-    def rows(self) -> Iterable[tuple[float, float, float, float, float]]:
-        err = self.errors
-        for a, y1 in enumerate(self.y1s):
-            for b, y2 in enumerate(self.y2s):
-                yield y1, y2, self.approx[a, b], self.exact[a, b], err[a, b]
-
-    def to_csv(self, path) -> None:
-        lines = ["y1,y2,K,f,error"]
-        for row in self.rows():
-            lines.append(",".join(CSV_FLOAT_FORMAT % v for v in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def surface_table(

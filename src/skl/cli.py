@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Precedence for every setting is: explicit flag, then the optional
-``--config`` file (flat ``key = value`` lines), then the built-in default.
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+The parser is built once per process from two tables: each RunConfig
+field's flag and converter, and each subcommand's flags.  Precedence for
+every setting is: explicit flag, then the optional ``--config`` file (flat
+``key = value`` lines), then the RunConfig default.  The handlers check the
+values.  Exit codes: 0 success, 1 usage error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def _bool(text: str) -> bool:
     raise UsageError(f"bad boolean {text!r}")
 
 
-#: RunConfig field -> (config-file key, parser).  Flags use the same keys
-#: with dashes; the file accepts either spelling.
+#: RunConfig field -> (flag and config-file key, converter).  Flags use the
+#: same keys with dashes; the file accepts either spelling.
 _FIELD_PARSERS = {
     "m": ("m", int),
     "m_list": ("m-list", _int_list),
@@ -92,19 +94,31 @@ _FIELD_PARSERS = {
     "e_set": ("E", _float_list),
 }
 
-_DEFAULTS = {
-    "q": 0,
-    "lam": 0.0,
-    "rho": 1.0,
-    "unchecked": False,
-    "level": "fast",
-    "lipschitz_M": 1.0,
-    "gamma": 1.0,
-    "k1": 1.0,
-    "k2": 1.0,
-    "tau": 1.0,
-    "m_list": (),
-    "e_set": (),
+#: Help text of the flags that carry one.  It names accepted values; the
+#: handlers check them.
+_FIELD_HELP = {
+    "grid": "LO:HI:COUNT",
+    "format": "csv, svg or both",
+    "thm": "33, 41, 71 or 72",
+    "e_set": "anchor set, e.g. 0,0.5,1",
+}
+
+_OPERATOR = ("m", "m_list", "q", "lam", "rho", "f", "grid", "out", "format", "unchecked")
+_TENSOR = _OPERATOR + ("m1", "m2", "q1", "q2", "lam1", "lam2", "y1", "y2")
+
+#: Subcommand -> (help, flag fields).  ``figure`` and ``verify`` also take
+#: one positional each.
+_COMMANDS = {
+    "eval": ("evaluate the operator at --u or over --grid", _OPERATOR + ("u",)),
+    "moments": ("raw and central moments, both paths", _OPERATOR + ("u",)),
+    "table1": ("recompute the reference error table", _OPERATOR),
+    "figure": ("regenerate demo figure 1, 2 or 3", _OPERATOR),
+    "bivariate": ("evaluate the tensor operator", _TENSOR),
+    "bounds": (
+        "published error bounds",
+        _TENSOR + ("thm", "u", "lipschitz_M", "gamma", "k1", "k2", "tau", "e_set"),
+    ),
+    "verify": ("run invariant suites and the closed-form audit", ()),
 }
 
 
@@ -131,85 +145,38 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="skl", description="Blended Schurer-Kantorovich operator toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser, bivariate: bool = False) -> None:
-        p.add_argument("--m", type=int)
-        p.add_argument("--m-list", dest="m_list", type=_int_list)
-        p.add_argument("--q", type=int)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--f")
-        p.add_argument("--grid", type=_grid, help="LO:HI:COUNT")
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "svg", "both"))
-        p.add_argument("--unchecked", action="store_true", default=None)
+    parsers = {}
+    for command, (help_text, fields) in _COMMANDS.items():
+        p = parsers[command] = sub.add_parser(command, help=help_text)
+        for field in fields:
+            key, convert = _FIELD_PARSERS[field]
+            if convert is _bool:
+                p.add_argument(f"--{key}", dest=field, action="store_true", default=None)
+            else:
+                p.add_argument(f"--{key}", dest=field, type=convert, help=_FIELD_HELP.get(field))
         p.add_argument("--config", dest="config_file")
-        if bivariate:
-            p.add_argument("--m1", type=int)
-            p.add_argument("--m2", type=int)
-            p.add_argument("--q1", type=int)
-            p.add_argument("--q2", type=int)
-            p.add_argument("--lambda1", dest="lam1", type=float)
-            p.add_argument("--lambda2", dest="lam2", type=float)
-            p.add_argument("--y1", type=float)
-            p.add_argument("--y2", type=float)
-
-    p_eval = sub.add_parser("eval", help="evaluate the operator at --u or over --grid")
-    common(p_eval)
-    p_eval.add_argument("--u", type=float)
-
-    p_moments = sub.add_parser("moments", help="raw and central moments, both paths")
-    common(p_moments)
-    p_moments.add_argument("--u", type=float)
-
-    p_table1 = sub.add_parser("table1", help="recompute the reference error table")
-    common(p_table1)
-
-    p_figure = sub.add_parser("figure", help="regenerate demo figure 1, 2 or 3")
-    p_figure.add_argument("figure_id", type=int, choices=(1, 2, 3))
-    common(p_figure)
-
-    p_bi = sub.add_parser("bivariate", help="evaluate the tensor operator")
-    common(p_bi, bivariate=True)
-
-    p_bounds = sub.add_parser("bounds", help="published error bounds")
-    common(p_bounds, bivariate=True)
-    p_bounds.add_argument("--thm", type=int, choices=(33, 41, 71, 72))
-    p_bounds.add_argument("--u", type=float)
-    p_bounds.add_argument("--M", dest="lipschitz_M", type=float)
-    p_bounds.add_argument("--gamma", type=float)
-    p_bounds.add_argument("--k1", type=float)
-    p_bounds.add_argument("--k2", type=float)
-    p_bounds.add_argument("--tau", type=float)
-    p_bounds.add_argument("--E", dest="e_set", type=_float_list, help="anchor set, e.g. 0,0.5,1")
-
-    p_verify = sub.add_parser("verify", help="run invariant suites and the closed-form audit")
-    p_verify.add_argument("level", nargs="?", choices=("fast", "full"))
-    p_verify.add_argument("--config", dest="config_file")
-
+    parsers["figure"].add_argument("figure_id", type=int, help="1, 2 or 3")
+    parsers["verify"].add_argument("level", nargs="?", help="fast or full")
     return parser
 
 
+#: Built once per process; parsing leaves it unchanged.
+_PARSER = _build_parser()
+
+
 def build_config(argv) -> RunConfig:
-    """Resolve flags, config file, and defaults into one RunConfig."""
-    ns = _build_parser().parse_args(argv)
-    file_values = _read_config_file(ns.config_file) if getattr(ns, "config_file", None) else {}
+    """Resolve flags over the config file; RunConfig supplies the defaults."""
+    ns = _PARSER.parse_args(argv)
+    file_values = _read_config_file(ns.config_file) if ns.config_file else {}
     resolved = {}
     for field, (key, convert) in _FIELD_PARSERS.items():
         value = getattr(ns, field, None)
         if value is None and key in file_values:
             value = convert(file_values[key])
-        if value is None:
-            value = _DEFAULTS.get(field)
         if value is not None:
             resolved[field] = value
-    if "format" not in resolved:
-        resolved["format"] = "both" if ns.command == "figure" else "csv"
-    return RunConfig(
-        command=ns.command,
-        figure_id=getattr(ns, "figure_id", None),
-        **resolved,
-    )
+    resolved.setdefault("format", "both" if ns.command == "figure" else "csv")
+    return RunConfig(command=ns.command, figure_id=getattr(ns, "figure_id", None), **resolved)
 
 
 def main(argv=None) -> int:

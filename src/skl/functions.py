@@ -3,7 +3,9 @@
 Targets reach the tooling either as named builtins (the demo polynomials and
 low-degree monomials) or as expression strings over +, -, *, /, ^ and
 parentheses with variables ``y`` (one argument) or ``y1``/``y2`` (two).
-Parsed expressions evaluate on scalars and numpy arrays alike.
+Builtins are stored as expression sources too, so every resolved target is
+a parsed expression or a product of two.  Parsed expressions evaluate on
+scalars and numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -172,39 +174,12 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("y",)) -> Expressi
     return Expression(source=text, variables=variables, _ast=ast)
 
 
-@dataclass(frozen=True)
-class RegisteredFunction:
-    name: str
-    arity: int
-    fn: Callable
-    description: str
-
-
-def _table1_poly(y):
-    return y ** 3 - 5.0 * y ** 2 + 6.0 * y + 2.0
-
-
-def _monomial(k: int) -> Callable:
-    def fn(y, _k=k):
-        return y ** _k if _k > 0 else y * 0 + 1.0
-
-    return fn
-
-
-BUILTINS: dict[str, RegisteredFunction] = {
-    "table1-poly": RegisteredFunction(
-        "table1-poly", 1, _table1_poly, "y^3 - 5y^2 + 6y + 2, the univariate demo target"
-    ),
-    "fig3-poly": RegisteredFunction(
-        "fig3-poly",
-        2,
-        SeparableFunction(lambda y1: y1 ** 3, lambda y2: y2 ** 2),
-        "y1^3 * y2^2, the separable bivariate demo target",
-    ),
-    **{
-        f"e{k}": RegisteredFunction(f"e{k}", 1, _monomial(k), f"monomial y^{k}")
-        for k in range(5)
-    },
+#: Builtin name -> expression source over ``y``.  A pair of sources names a
+#: separable two-argument target, the product of one factor per argument.
+BUILTINS: dict[str, str | tuple[str, str]] = {
+    "table1-poly": "y^3 - 5*y^2 + 6*y + 2",
+    "fig3-poly": ("y^3", "y^2"),
+    **{f"e{k}": f"y^{k}" for k in range(5)},
 }
 
 
@@ -217,19 +192,19 @@ def resolve_function(text: str, arity: int = 1) -> Callable:
     if arity not in (1, 2):
         raise ExpressionError("arity must be 1 or 2")
     name = text.strip()
+    variables = ("y",) if arity == 1 else ("y1", "y2")
     entry = BUILTINS.get(name)
     if entry is not None:
-        if entry.arity != arity:
-            raise ExpressionError(
-                f"{name!r} takes {entry.arity} argument(s), not {arity}"
-            )
-        return entry.fn
+        takes = 2 if isinstance(entry, tuple) else 1
+        if takes != arity:
+            raise ExpressionError(f"{name!r} takes {takes} argument(s), not {arity}")
+        if arity == 1:
+            return parse_expression(entry)
+        return SeparableFunction(*map(parse_expression, entry))
     if name.startswith("const:"):
         try:
             value = float(name[len("const:"):])
         except ValueError:
             raise ExpressionError(f"bad constant in {name!r}") from None
-        variables = ("y",) if arity == 1 else ("y1", "y2")
         return Expression(source=name, variables=variables, _ast=("num", value))
-    variables = ("y",) if arity == 1 else ("y1", "y2")
     return parse_expression(name, variables)

@@ -72,10 +72,6 @@ class ModulusScan:
     def step(self) -> float:
         return (self.hi - self.lo) / (len(self.values) - 1)
 
-    @property
-    def resolution(self) -> int:
-        return len(self.values)
-
     def value_at(self, delta: float) -> float:
         """Estimated omega(f; delta) from the stored samples."""
         return _max_window_range(self.values, _window_length(delta, self.step))

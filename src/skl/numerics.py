@@ -37,33 +37,6 @@ SINGULAR_ORIGIN_LEVELS = 16
 DEFAULT_SUP_GRID_POINTS = 10_001
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights on the open unit interval.
-
-    ``order`` counts the nodes; the rule integrates polynomials of degree up
-    to ``2 * order - 1`` exactly and its weights sum to 1.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    @classmethod
-    def gauss_legendre(cls, order: int = DEFAULT_QUADRATURE_ORDER) -> "QuadratureRule":
-        if order < 1:
-            raise DomainError("quadrature order must be positive")
-        x, w = np.polynomial.legendre.leggauss(order)
-        nodes = 0.5 * (x + 1.0)
-        weights = 0.5 * w
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(nodes=nodes, weights=weights, order=order)
-
-
-_GL_DEFAULT = QuadratureRule.gauss_legendre()
-
-
 @lru_cache(maxsize=64)
 def _composite_cells(subdivisions: int, origin_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Flattened node/weight arrays for the composite rule on [0, 1].
@@ -78,8 +51,9 @@ def _composite_cells(subdivisions: int, origin_levels: int) -> tuple[np.ndarray,
     else:
         edges.append(h)
     edges.extend((c + 1) * h for c in range(1, subdivisions))
-    base_nodes = _GL_DEFAULT.nodes
-    base_weights = _GL_DEFAULT.weights
+    x, w = np.polynomial.legendre.leggauss(DEFAULT_QUADRATURE_ORDER)
+    base_nodes = 0.5 * (x + 1.0)
+    base_weights = 0.5 * w
     all_nodes = []
     all_weights = []
     for a, b in zip(edges[:-1], edges[1:]):

@@ -2,8 +2,8 @@
 
 This module backs the command-line surface: the reference error table, the
 demo figures, single-point evaluation and moment/bound queries, and the
-``verify`` command.  ``verify`` runs two very different kinds of checks and
-keeps them strictly apart:
+``verify`` command; every CSV is written here.  ``verify`` runs two very
+different kinds of checks and keeps them strictly apart:
 
 * asserted invariants (partition of unity, positivity, linearity, tensor
   factorization, central-moment algebra, quadrature-vs-summation agreement,
@@ -37,6 +37,7 @@ from .basis import BasisParams, basis_row
 from .bivariate import (
     BivariateConfig,
     SeparableFunction,
+    SurfaceTable,
     apply_bi,
     surface_table,
     window_deltas,
@@ -65,7 +66,6 @@ from .reference import (
 )
 from .svg import render_heatmap, render_line_chart, write_svg
 from .univariate import (
-    CSV_FLOAT_FORMAT,
     OperatorConfig,
     apply,
     error_curve,
@@ -89,17 +89,28 @@ MAX_CLI_DEGREE = 1024
 
 _RHO_CHOICES = (0.1, 0.5, 0.9, 1.0, 2.0)
 
+#: Every number the commands print or write as CSV.
+CSV_FLOAT_FORMAT = "%.12g"
+
 
 def _sig(value: float) -> str:
     return CSV_FLOAT_FORMAT % value
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One row per index of the equal-length ``columns``."""
     lines = [header]
-    for row in rows:
+    for row in zip(*columns):
         lines.append(",".join(CSV_FLOAT_FORMAT % v for v in row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_surface_csv(path: Path, table: SurfaceTable) -> None:
+    """One row per grid point of a surface table, y1-major."""
+    y1, y2 = np.meshgrid(table.y1s, table.y2s, indexing="ij")
+    columns = (y1, y2, table.approx, table.exact, table.errors)
+    _write_csv(path, "y1,y2,K,f,error", [column.ravel() for column in columns])
 
 
 def _out_base(out, default_stem: str) -> Path:
@@ -114,8 +125,9 @@ class RunConfig:
     """One resolved command invocation.
 
     The CLI fills this from flags layered over an optional config file; the
-    dispatcher below only reads it.  Fields irrelevant to a command are
-    simply ignored by its handler.
+    field defaults here are the only defaults, and the dispatcher below only
+    reads it.  Fields irrelevant to a command are simply ignored by its
+    handler.
     """
 
     command: str
@@ -189,9 +201,6 @@ class RunConfig:
             unchecked=self.unchecked,
         )
 
-    def ladder(self, default: tuple[int, ...]) -> tuple[int, ...]:
-        return self.m_list if self.m_list else default
-
     def grid_points(self, default_count: int = 101) -> Grid:
         if self.grid is None:
             return unit_grid(default_count)
@@ -234,13 +243,6 @@ class Table1Result:
             return "qualitative"
         return "mismatch"
 
-    def to_csv(self, path) -> None:
-        header = "x," + ",".join(f"E_n{m}" for m in TABLE1_MS)
-        rows = (
-            (x, *self.computed[i]) for i, x in enumerate(self.xs)
-        )
-        _write_csv(Path(path), header, rows)
-
 
 def table1_errors(ms: Sequence[int] = TABLE1_MS) -> np.ndarray:
     """|K(f; x) - f(x)| at the reference abscissae for each m in ``ms``."""
@@ -259,7 +261,8 @@ def cmd_table1(out=None) -> Table1Result:
         xs=np.array(TABLE1_XS), computed=table1_errors(), reference=np.array(TABLE1_ERRORS)
     )
     path = _out_base(out, "table1").with_suffix(".csv")
-    result.to_csv(path)
+    header = "x," + ",".join(f"E_n{m}" for m in TABLE1_MS)
+    _write_csv(path, header, [result.xs, *result.computed.T])
     print(f"wrote {path}")
     print(
         f"max deviation from reference {result.deviation:.3e} "
@@ -305,7 +308,7 @@ def cmd_figure(which: int, out=None, fmt: str = "both", m_list: tuple[int, ...] 
             title = "Absolute approximation error along the m ladder"
         if want_csv:
             path = base.with_suffix(".csv")
-            _write_csv(path, header, zip(grid.points, *columns))
+            _write_csv(path, header, [grid.points, *columns])
             written.append(path)
         if want_svg:
             path = base.with_suffix(".svg")
@@ -333,7 +336,7 @@ def cmd_figure(which: int, out=None, fmt: str = "both", m_list: tuple[int, ...] 
             last_errors = table.errors
             if want_csv:
                 path = base.parent / f"{base.name}_m{m}.csv"
-                table.to_csv(path)
+                _write_surface_csv(path, table)
                 written.append(path)
         if want_svg and last_errors is not None:
             path = base.with_suffix(".svg")
@@ -366,7 +369,7 @@ def cmd_eval(config: RunConfig):
     values = np.atleast_1d(apply(op, f, grid.points))
     if config.out is not None:
         path = _out_base(config.out, "eval").with_suffix(".csv")
-        _write_csv(path, "x,K", zip(grid.points, values))
+        _write_csv(path, "x,K", [grid.points, values])
         print(f"wrote {path}")
     else:
         print("x,K")
@@ -404,7 +407,7 @@ def cmd_bivariate(config: RunConfig):
         base = _out_base(config.out, "bivariate")
         if config.format in ("csv", "both"):
             path = base.with_suffix(".csv")
-            table.to_csv(path)
+            _write_surface_csv(path, table)
             print(f"wrote {path}")
         if config.format in ("svg", "both"):
             path = base.with_suffix(".svg")
@@ -422,17 +425,15 @@ def cmd_bounds(config: RunConfig):
     """One of the four published error bounds, printed to 12 digits."""
     if config.thm not in (33, 41, 71, 72):
         raise UsageError("--thm must be one of 33, 41, 71, 72")
+    if config.thm in (33, 41) and config.u is None:
+        raise UsageError(f"--thm {config.thm} needs --u")
     if config.thm == 33:
-        if config.u is None:
-            raise UsageError("--thm 33 needs --u")
         op = config.operator()
         f = resolve_function(config.f or TABLE1_FUNCTION)
         bound, delta = bound_thm33(op, f, config.u)
         print(f"bound {_sig(bound)} delta {_sig(delta)}")
         return bound
     if config.thm == 41:
-        if config.u is None:
-            raise UsageError("--thm 41 needs --u")
         bound = bound_thm41(config.operator(), config.lipschitz(), config.u)
         print(f"bound {_sig(bound)}")
         return bound
@@ -870,27 +871,18 @@ def cmd_verify(level: str = "fast") -> VerifyResult:
 
 def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit code."""
+    if config.command == "verify":
+        return cmd_verify(config.level).exit_code
     if config.command == "table1":
         cmd_table1(config.out)
-        return 0
-    if config.command == "figure":
-        if config.figure_id is None:
-            raise UsageError("figure needs an id of 1, 2 or 3")
-        cmd_figure(
-            config.figure_id, out=config.out, fmt=config.format, m_list=config.m_list
-        )
-        return 0
-    if config.command == "eval":
-        cmd_eval(config)
-        return 0
-    if config.command == "moments":
-        cmd_moments(config)
-        return 0
-    if config.command == "bivariate":
-        cmd_bivariate(config)
-        return 0
-    if config.command == "bounds":
-        cmd_bounds(config)
-        return 0
-    result = cmd_verify(config.level)
-    return result.exit_code
+    elif config.command == "figure":
+        cmd_figure(config.figure_id, out=config.out, fmt=config.format, m_list=config.m_list)
+    else:
+        handlers = {
+            "eval": cmd_eval,
+            "moments": cmd_moments,
+            "bivariate": cmd_bivariate,
+            "bounds": cmd_bounds,
+        }
+        handlers[config.command](config)
+    return 0

@@ -17,6 +17,14 @@ MARGIN_RIGHT = 160
 MARGIN_TOP = 60
 MARGIN_BOTTOM = 70
 
+#: Plot box shared by every chart.
+PLOT_LEFT = MARGIN_LEFT
+PLOT_RIGHT = WIDTH - MARGIN_RIGHT
+PLOT_TOP = MARGIN_TOP
+PLOT_BOTTOM = HEIGHT - MARGIN_BOTTOM
+PLOT_WIDTH = PLOT_RIGHT - PLOT_LEFT
+PLOT_HEIGHT = PLOT_BOTTOM - PLOT_TOP
+
 COLORS = [
     "#1f77b4",
     "#d62728",
@@ -60,6 +68,39 @@ def _heat_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def _header(title: str) -> list[str]:
+    """Opening tag, white background and centered title."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="32" text-anchor="middle" font-size="20" '
+        f'font-family="Arial">{_escape(title)}</text>',
+    ]
+
+
+def _x_tick(x: float, value: float) -> list[str]:
+    """A tick under the plot box at pixel ``x`` and its label."""
+    return [
+        f'<line x1="{x:.2f}" y1="{PLOT_BOTTOM}" x2="{x:.2f}" y2="{PLOT_BOTTOM + 6}" '
+        'stroke="#000000" stroke-width="1"/>',
+        f'<text x="{x:.2f}" y="{PLOT_BOTTOM + 24}" text-anchor="middle" font-size="12" '
+        f'font-family="Arial">{value:.2g}</text>',
+    ]
+
+
+def _axis_labels(x_label: str, y_label: str) -> list[str]:
+    """The x label under the plot box and the rotated y label left of it."""
+    mid_y = (PLOT_TOP + PLOT_BOTTOM) / 2
+    return [
+        f'<text x="{(PLOT_LEFT + PLOT_RIGHT) / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle" '
+        f'font-size="14" font-family="Arial">{_escape(x_label)}</text>',
+        f'<text x="20" y="{mid_y:.1f}" text-anchor="middle" '
+        f'font-size="14" font-family="Arial" '
+        f'transform="rotate(-90 20 {mid_y:.1f})">{_escape(y_label)}</text>',
+    ]
+
+
 def render_line_chart(
     xs: Sequence[float],
     series: Sequence[Tuple[str, Sequence[float]]],
@@ -73,12 +114,6 @@ def render_line_chart(
         raise ValueError("need at least two abscissa points")
     if not series:
         raise ValueError("no series to plot")
-    plot_left = MARGIN_LEFT
-    plot_right = WIDTH - MARGIN_RIGHT
-    plot_top = MARGIN_TOP
-    plot_bottom = HEIGHT - MARGIN_BOTTOM
-    plot_width = plot_right - plot_left
-    plot_height = plot_bottom - plot_top
 
     all_values = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series])
     y_min = min(0.0, float(all_values.min()))
@@ -89,65 +124,43 @@ def render_line_chart(
     x_min, x_max = float(xs[0]), float(xs[-1])
 
     def x_to_px(x: float) -> float:
-        return plot_left + (x - x_min) / (x_max - x_min) * plot_width
+        return PLOT_LEFT + (x - x_min) / (x_max - x_min) * PLOT_WIDTH
 
     def y_to_px(y: float) -> float:
-        return plot_bottom - (y - y_min) / (y_max - y_min) * plot_height
+        return PLOT_BOTTOM - (y - y_min) / (y_max - y_min) * PLOT_HEIGHT
 
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="32" text-anchor="middle" font-size="20" '
-        f'font-family="Arial">{_escape(title)}</text>',
-    ]
+    lines = _header(title)
 
     # Horizontal grid with 6 labeled levels.
     for i in range(7):
         value = y_min + (y_max - y_min) * i / 6
         y = y_to_px(value)
         lines.append(
-            f'<line x1="{plot_left}" y1="{y:.2f}" x2="{plot_right}" y2="{y:.2f}" '
+            f'<line x1="{PLOT_LEFT}" y1="{y:.2f}" x2="{PLOT_RIGHT}" y2="{y:.2f}" '
             'stroke="#d9d9d9" stroke-width="1"/>'
         )
         lines.append(
-            f'<text x="{plot_left - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
+            f'<text x="{PLOT_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
             f'font-family="Arial">{value:.3g}</text>'
         )
 
     lines.append(
-        f'<line x1="{plot_left}" y1="{plot_bottom}" x2="{plot_right}" y2="{plot_bottom}" '
+        f'<line x1="{PLOT_LEFT}" y1="{PLOT_BOTTOM}" x2="{PLOT_RIGHT}" y2="{PLOT_BOTTOM}" '
         'stroke="#000000" stroke-width="2"/>'
     )
     lines.append(
-        f'<line x1="{plot_left}" y1="{plot_top}" x2="{plot_left}" y2="{plot_bottom}" '
+        f'<line x1="{PLOT_LEFT}" y1="{PLOT_TOP}" x2="{PLOT_LEFT}" y2="{PLOT_BOTTOM}" '
         'stroke="#000000" stroke-width="2"/>'
     )
 
     # Decile ticks along x.
     for i in range(11):
         value = x_min + (x_max - x_min) * i / 10
-        x = x_to_px(value)
-        lines.append(
-            f'<line x1="{x:.2f}" y1="{plot_bottom}" x2="{x:.2f}" y2="{plot_bottom + 6}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{x:.2f}" y="{plot_bottom + 24}" text-anchor="middle" font-size="12" '
-            f'font-family="Arial">{value:.2g}</text>'
-        )
-    lines.append(
-        f'<text x="{(plot_left + plot_right) / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle" '
-        f'font-size="14" font-family="Arial">{_escape(x_label)}</text>'
-    )
-    lines.append(
-        f'<text x="20" y="{(plot_top + plot_bottom) / 2:.1f}" text-anchor="middle" '
-        f'font-size="14" font-family="Arial" '
-        f'transform="rotate(-90 20 {(plot_top + plot_bottom) / 2:.1f})">{_escape(y_label)}</text>'
-    )
+        lines.extend(_x_tick(x_to_px(value), value))
+    lines.extend(_axis_labels(x_label, y_label))
 
-    legend_x = plot_right + 16
-    legend_y = plot_top + 16
+    legend_x = PLOT_RIGHT + 16
+    legend_y = PLOT_TOP + 16
     for idx, (label, ys) in enumerate(series):
         ys = np.asarray(ys, dtype=float)
         if ys.shape != xs.shape:
@@ -192,31 +205,19 @@ def render_heatmap(
     if values.ndim != 2 or values.size == 0:
         raise ValueError("heatmap needs a nonempty 2-d array")
     n1, n2 = values.shape
-    plot_left = MARGIN_LEFT
-    plot_right = WIDTH - MARGIN_RIGHT
-    plot_top = MARGIN_TOP
-    plot_bottom = HEIGHT - MARGIN_BOTTOM
-    plot_width = plot_right - plot_left
-    plot_height = plot_bottom - plot_top
     v_min = float(values.min())
     v_max = float(values.max())
     spread = v_max - v_min if v_max > v_min else 1.0
 
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        '<rect x="0" y="0" width="100%" height="100%" fill="#ffffff"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="32" text-anchor="middle" font-size="20" '
-        f'font-family="Arial">{_escape(title)}</text>',
-    ]
+    lines = _header(title)
 
-    cell_w = plot_width / n1
-    cell_h = plot_height / n2
+    cell_w = PLOT_WIDTH / n1
+    cell_h = PLOT_HEIGHT / n2
     for i in range(n1):
-        x = plot_left + i * cell_w
+        x = PLOT_LEFT + i * cell_w
         for j in range(n2):
             # Row j = 0 sits at the bottom edge.
-            y = plot_bottom - (j + 1) * cell_h
+            y = PLOT_BOTTOM - (j + 1) * cell_h
             color = _heat_color((values[i, j] - v_min) / spread)
             lines.append(
                 f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.5:.2f}" '
@@ -226,54 +227,37 @@ def render_heatmap(
     # Decile ticks on both axes.
     for i in range(11):
         frac = i / 10
-        x = plot_left + frac * plot_width
-        value1 = lo1 + (hi1 - lo1) * frac
-        lines.append(
-            f'<line x1="{x:.2f}" y1="{plot_bottom}" x2="{x:.2f}" y2="{plot_bottom + 6}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{x:.2f}" y="{plot_bottom + 24}" text-anchor="middle" font-size="12" '
-            f'font-family="Arial">{value1:.2g}</text>'
-        )
-        y = plot_bottom - frac * plot_height
+        lines.extend(_x_tick(PLOT_LEFT + frac * PLOT_WIDTH, lo1 + (hi1 - lo1) * frac))
+        y = PLOT_BOTTOM - frac * PLOT_HEIGHT
         value2 = lo2 + (hi2 - lo2) * frac
         lines.append(
-            f'<line x1="{plot_left - 6}" y1="{y:.2f}" x2="{plot_left}" y2="{y:.2f}" '
+            f'<line x1="{PLOT_LEFT - 6}" y1="{y:.2f}" x2="{PLOT_LEFT}" y2="{y:.2f}" '
             'stroke="#000000" stroke-width="1"/>'
         )
         lines.append(
-            f'<text x="{plot_left - 10}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
+            f'<text x="{PLOT_LEFT - 10}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
             f'font-family="Arial">{value2:.2g}</text>'
         )
-    lines.append(
-        f'<text x="{(plot_left + plot_right) / 2:.1f}" y="{HEIGHT - 16}" text-anchor="middle" '
-        f'font-size="14" font-family="Arial">{_escape(x_label)}</text>'
-    )
-    lines.append(
-        f'<text x="20" y="{(plot_top + plot_bottom) / 2:.1f}" text-anchor="middle" '
-        f'font-size="14" font-family="Arial" '
-        f'transform="rotate(-90 20 {(plot_top + plot_bottom) / 2:.1f})">{_escape(y_label)}</text>'
-    )
+    lines.extend(_axis_labels(x_label, y_label))
 
     # Color bar with min/max labels.
-    bar_x = plot_right + 30
+    bar_x = PLOT_RIGHT + 30
     bar_w = 22
     steps = 40
-    step_h = plot_height / steps
+    step_h = PLOT_HEIGHT / steps
     for s in range(steps):
         t = 1.0 - s / (steps - 1)
-        y = plot_top + s * step_h
+        y = PLOT_TOP + s * step_h
         lines.append(
             f'<rect x="{bar_x}" y="{y:.2f}" width="{bar_w}" height="{step_h + 0.5:.2f}" '
             f'fill="{_heat_color(t)}"/>'
         )
     lines.append(
-        f'<text x="{bar_x + bar_w + 6}" y="{plot_top + 10:.2f}" text-anchor="start" '
+        f'<text x="{bar_x + bar_w + 6}" y="{PLOT_TOP + 10:.2f}" text-anchor="start" '
         f'font-size="12" font-family="Arial">{v_max:.3g}</text>'
     )
     lines.append(
-        f'<text x="{bar_x + bar_w + 6}" y="{plot_bottom:.2f}" text-anchor="start" '
+        f'<text x="{bar_x + bar_w + 6}" y="{PLOT_BOTTOM:.2f}" text-anchor="start" '
         f'font-size="12" font-family="Arial">{v_min:.3g}</text>'
     )
     lines.append("</svg>")

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 from .basis import BasisParams, basis_row, basis_rows
 from .errors import DomainError, EvaluationError
 from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
-
-CSV_FLOAT_FORMAT = "%.12g"
 
 
 @dataclass(frozen=True)
@@ -191,16 +189,6 @@ class ErrorTable:
     errors: np.ndarray
     bounds: np.ndarray
     deltas: np.ndarray
-
-    def rows(self) -> Iterable[tuple[float, float, float, float]]:
-        return zip(self.xs, self.errors, self.bounds, self.deltas)
-
-    def to_csv(self, path) -> None:
-        lines = ["x,error,bound_thm33,delta"]
-        for row in self.rows():
-            lines.append(",".join(CSV_FLOAT_FORMAT % v for v in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def error_curve(config: OperatorConfig, f: Callable, grid: Grid) -> ErrorTable:

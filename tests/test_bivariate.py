@@ -9,6 +9,7 @@ from skl.bivariate import (
     surface_table,
     window_deltas,
 )
+from skl.cli import main
 from skl.errors import DomainError
 from skl.numerics import Grid
 from skl.univariate import monomial_moment, oracle_central_moments, point_delta
@@ -134,15 +135,23 @@ def test_window_deltas_are_axis_radii():
     assert d1 >= 0.0 and d2 >= 0.0
 
 
-def test_surface_table_and_csv(tmp_path):
+def test_surface_table_and_csv(tmp_path, capsys):
     grid = Grid(lo=0.0, hi=1.0, count=5)
     g = SeparableFunction(lambda a: a ** 3, lambda b: b ** 2)
     table = surface_table(CONFIG, g, grid, grid)
     assert table.approx.shape == (5, 5)
     assert table.errors.shape == (5, 5)
     assert table.sup_error == pytest.approx(table.errors.max())
+    # The command writes the same surface for the same config (fig3-poly is
+    # its default target, y1^3 * y2^2).
     path = tmp_path / "surface.csv"
-    table.to_csv(path)
+    code = main(
+        ["bivariate", "--m1", "5", "--m2", "7", "--q1", "1", "--q2", "2",
+         "--lambda1", "0.25", "--lambda2", "0.75", "--rho", "2",
+         "--grid", "0:1:5", "--out", str(path)]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
     lines = path.read_text().splitlines()
     assert lines[0] == "y1,y2,K,f,error"
     assert len(lines) == 26

@@ -2,10 +2,24 @@ import warnings
 
 import pytest
 
-from skl.cli import _grid, _int_list, build_config, main
+from skl import cli
+from skl.cli import _bool, _float_list, _grid, _int_list, build_config, main
 from skl.errors import UsageError
 from skl.functions import resolve_function
+from skl.reports import RunConfig
 from skl.univariate import OperatorConfig, apply
+
+#: A valid value text per field converter, and per field for the strings.
+SAMPLE_TEXT = {
+    int: "3", float: "0.25", _int_list: "3,4", _float_list: "0,0.5", _grid: "0:1:5",
+    _bool: "yes",
+}
+STRING_TEXT = {"f": "y", "out": "result", "format": "svg", "level": "full"}
+
+
+def _sample(field):
+    convert = cli._FIELD_PARSERS[field][1]
+    return STRING_TEXT[field] if convert is str else SAMPLE_TEXT[convert]
 
 
 def test_list_and_grid_converters():
@@ -117,6 +131,54 @@ def test_main_usage_failures(capsys, tmp_path):
     assert apply(OperatorConfig(m=1100), resolve_function("e0"), 0.5) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+def test_handlers_check_their_values(capsys):
+    # Each value is checked once, by the handler that uses it.
+    cases = [
+        (["figure", "7"], "error: figure id must be 1, 2 or 3"),
+        (["bounds", "--m", "10", "--thm", "99"], "error: --thm must be one of 33, 41, 71, 72"),
+        (["eval", "--m", "10", "--u", "0.5", "--format", "png"], "error: unknown format 'png'"),
+        (["verify", "turbo"], "error: verify level must be 'fast' or 'full'"),
+    ]
+    for argv, line in cases:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    assert main(["eval", "--m", "5", "--u", "0.5"]) == 0
+    capsys.readouterr()
+
+
+def test_field_table_is_the_command_surface(tmp_path):
+    assert tuple(cli._COMMANDS) == RunConfig.COMMANDS
+    # Every field is a flag of at least one subcommand, except the verify
+    # level, which is that command's positional.
+    reached = {"level"}
+    assert build_config(["verify", "full"]).level == "full"
+    for command, (_, fields) in cli._COMMANDS.items():
+        positional = ["1"] if command == "figure" else []
+        for field in fields:
+            key, convert = cli._FIELD_PARSERS[field]
+            text = _sample(field)
+            value = [] if convert is _bool else [text]
+            config = build_config([command, *positional, f"--{key}", *value])
+            assert getattr(config, field) == convert(text), (command, field)
+            reached.add(field)
+    assert reached == set(cli._FIELD_PARSERS)
+    # Every field is also a config-file key.
+    cfg_file = tmp_path / "all.cfg"
+    cfg_file.write_text(
+        "".join(f"{key} = {_sample(field)}\n" for field, (key, _) in cli._FIELD_PARSERS.items())
+    )
+    config = build_config(["verify", "--config", str(cfg_file)])
+    for field, (_, convert) in cli._FIELD_PARSERS.items():
+        assert getattr(config, field) == convert(_sample(field)), field
 
 
 def test_main_eval_point(capsys):

@@ -251,19 +251,12 @@ def test_positivity_and_monotone_window(rng):
     assert np.all(values >= -1e-14)
 
 
-def test_error_curve_table_and_csv(tmp_path):
+def test_error_curve_table():
     cfg = OperatorConfig(m=20, q=5, lam=0.5, rho=0.1)
     table = error_curve(cfg, table1_target, Grid(lo=0.0, hi=1.0, count=11))
     assert table.errors.shape == (11,)
     assert np.all(table.bounds >= 0.0)
     assert np.all(table.deltas > 0.0)
-    path = tmp_path / "errs.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,error,bound_thm33,delta"
-    assert len(lines) == 12
-    parsed = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert parsed[:, 1] == pytest.approx(table.errors, rel=1e-10)
 
 
 def test_moments_at_grid_edges():
