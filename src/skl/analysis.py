@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import basis_rows
+from .basis import contract
 from .bivariate import BivariateConfig, window_deltas
 from .errors import DomainError
 from .modulus import (
@@ -154,12 +154,11 @@ def bound_thm72(
 
 
 def moment_defect_curve(config: OperatorConfig, k: int, grid: Grid) -> np.ndarray:
-    """|K(e_k; u) - u^k| over the grid, vectorized through the basis rows."""
+    """|K(e_k; u) - u^k| over the grid through the banded basis contraction."""
     integrals = np.array(
         [monomial_kantorovich_integral(config, i, k) for i in range(config.degree + 1)]
     )
-    rows = basis_rows(config.basis, grid.points)
-    return np.abs(rows @ integrals - grid.points ** k)
+    return np.abs(contract(config.basis, grid.points, integrals) - grid.points ** k)
 
 
 def korovkin_defects(

@@ -18,6 +18,13 @@ In terms of the Bernstein basis b_{n,k}(y) = C(n, k) y**k (1-y)**(n-k),
 which is how the rows are computed: one log-space Bernstein row of degree
 M - 2 per point, lifted to degree M by degree elevation, so no binomial
 coefficient is ever formed and every degree works.
+
+Contracting the rows with per-index values (``contract``) moves the three
+taps onto the values and sums each Bernstein row only over its Hoeffding
+band, about 2 * 4.6 * sqrt(M) columns, which drops at most 2**-60 of its
+mass; a point whose values make the dropped part visible in its sum takes
+the whole row.  The dense rows (``basis_rows``) are the full-width case of
+the same log-space builder.
 """
 
 from __future__ import annotations
@@ -32,6 +39,17 @@ from .errors import DomainError
 
 #: Basis degree must be at least this; the C(M-2, .) legs need M - 2 >= 0.
 MIN_DEGREE = 2
+
+#: Mass of a Bernstein row that :func:`band` may leave out, far below one
+#: ulp of the row's unit sum.
+BAND_EPSILON = 2.0 ** -60
+
+#: Relative size of the last bit of a double; a band whose dropped part
+#: could reach it in a point's sum makes :func:`contract` sum the whole row.
+ROUNDING = 2.0 ** -53
+
+#: Band cells per block of :func:`contract` (256 kB of float64 each).
+BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,23 +101,54 @@ def bernstein_rows(n: int, ys) -> np.ndarray:
     unit vectors e_0 and e_n; points outside [0, 1] get the sign of
     y**k (1-y)**(n-k) multiplied back in.
     """
-    arr = np.atleast_1d(np.asarray(ys, dtype=float))
+    return _bernstein_window(n, np.atleast_1d(np.asarray(ys, dtype=float)), 0, n + 1)
+
+
+def _bernstein_window(n: int, arr: np.ndarray, start, width: int) -> np.ndarray:
+    """Row j holds b_{n,k}(arr[j]) for k = start_j .. start_j + width - 1.
+
+    ``start`` is 0 or one start per point.  Whole rows and the windows of
+    :func:`band` are the only windows: a point at 0 or 1 has its unit entry
+    in the window's first or last column, and a point outside [0, 1] has a
+    whole row.
+    """
     at_zero, at_one = arr == 0.0, arr == 1.0
     ends = at_zero | at_one
-    y = np.where(ends, 0.5, arr)[:, None]
-    k = np.arange(n + 1)
-    rows = np.multiply(k, np.log(np.abs(y)))
+    y = np.where(ends, 0.5, arr)
+    k = np.asarray(start, dtype=float)[..., None] + np.arange(width, dtype=float)
+    rows = np.multiply(k, np.log(np.abs(y[:, None])))
     # log1p(-y) skips rounding 1 - y; past y = 1, 2 - y mirrors the point
     # so the logarithm is still that of |1 - y|.
-    rows += np.multiply(n - k, np.log1p(-np.minimum(y, 2.0 - y)))
-    rows += _log_binomials(n)
+    rows += np.multiply(n - k, np.log1p(-np.minimum(y, 2.0 - y)[:, None]))
+    logs = _log_binomials(n)
+    rows += logs if width == n + 1 else _windows(logs, width)[start]
     np.exp(rows, out=rows)
-    rows[arr < 0.0] *= np.where(k % 2, -1.0, 1.0)
-    rows[arr > 1.0] *= np.where((n - k) % 2, -1.0, 1.0)
     rows[ends] = 0.0
     rows[at_zero, 0] = 1.0
-    rows[at_one, n] = 1.0
+    rows[at_one, width - 1] = 1.0
+    below, above = arr < 0.0, arr > 1.0
+    if below.any() or above.any():
+        k = np.arange(width)
+        rows[below] *= np.where(k % 2, -1.0, 1.0)
+        rows[above] *= np.where((n - k) % 2, -1.0, 1.0)
     return rows
+
+
+def band(n: int, ys) -> tuple[np.ndarray, int]:
+    """(start, width) of the columns of b_n that carry the mass at each point.
+
+    Hoeffding's inequality bounds the Bernstein tail at y in [0, 1]:
+    sum_{|k - n y| >= t} b_{n,k}(y) <= 2 exp(-2 t**2 / n).  With
+    t = ceil(sqrt(n ln(2 / BAND_EPSILON) / 2)) the band k = c - t - 1 ..
+    c + t + 1 around c = rint(n y) keeps every k with |k - n y| < t, plus
+    one column of slack for the rounding of n y, so it drops at most
+    BAND_EPSILON of the row.  The width depends on n only, the start on
+    the point only.
+    """
+    t = math.ceil(math.sqrt(n * math.log(2.0 / BAND_EPSILON) / 2.0))
+    width = min(n + 1, 2 * t + 3)
+    centre = np.rint(n * np.asarray(ys, dtype=float)).astype(np.intp)
+    return np.minimum(np.maximum(centre - (t + 1), 0), n + 1 - width), width
 
 
 def basis_rows(params: BasisParams, ys) -> np.ndarray:
@@ -114,40 +163,127 @@ def basis_rows(params: BasisParams, ys) -> np.ndarray:
     overflow; ``unchecked`` points outside it are computed with floating
     point warnings silenced and raise when their row is not finite.
     """
+    arr, outside = _checked_points(params, ys)
+    if not outside.any():
+        return _blended_rows(params, arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _blended_rows(params, arr)
+    _reject_overflow(arr, np.isfinite(rows).all(axis=1))
+    return rows
+
+
+def contract(params: BasisParams, ys, values) -> np.ndarray:
+    """sum_i p_i(y) * values[i] at every point, without forming the basis rows.
+
+    The three taps of :func:`basis_rows` move onto the values:
+    sum_i p_i v_i = tap_0 sum_k b_k v_k + tap_1 sum_k b_k v_{k+1}
+    + tap_2 sum_k b_k v_{k+2} with b = b_{M-2}.  Points in [0, 1] sum b
+    only over their :func:`band`.  The band drops at most BAND_EPSILON of
+    b's mass, but steep values can weight that mass far above the kept
+    part.  Past the mode b falls away from the band, so no column outside
+    it holds more than the band's edge column next to it; the edges bound
+    the dropped mass, and with |tap_0| + |tap_1| + |tap_2| <= 1 + |lam|
+    and the largest |value| they bound the dropped part of the sum.  A
+    point where that bound could reach the last bit of its banded sum
+    sums its whole row, as do ``unchecked`` points outside [0, 1], where
+    no tail bound holds.  Each point's sums are row sums of its own, so
+    its value is the same bit for bit whatever batch it arrives in.
+    Points are checked as in :func:`basis_rows`.
+    """
+    arr, outside = _checked_points(params, ys)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (params.degree + 1,):
+        raise ValueError(f"need {params.degree + 1} values, one per basis index")
+    n = params.degree - 2
+    out = np.empty(len(arr))
+    inside = ~outside
+    y = arr[inside]
+    banded, tails = _tap_sums(params, y, values, *band(n, y))
+    out[inside] = banded
+    scale = (1.0 + abs(params.lam)) * np.abs(values).max()
+    whole = outside.copy()
+    whole[inside] = ~(tails * scale <= ROUNDING * np.abs(banded))
+    if whole.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[whole] = _tap_sums(
+                params, arr[whole], values, np.zeros(whole.sum(), np.intp), n + 1
+            )[0]
+        _reject_overflow(arr[outside], np.isfinite(out[outside]))
+    return out
+
+
+def _windows(values: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view whose row s is values[s : s + width]."""
+    shape = (len(values) - width + 1, width)
+    return np.lib.stride_tricks.as_strided(values, shape, values.strides * 2, writeable=False)
+
+
+def _checked_points(params: BasisParams, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Points as a float array and the mask of those outside [0, 1]."""
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
     finite = np.isfinite(arr)
     if not finite.all():
         raise DomainError(f"evaluation point {float(arr[~finite][0])!r} is not finite")
     outside = (arr < 0.0) | (arr > 1.0)
-    if not outside.any():
-        return _blended_rows(params, arr)
-    if not params.unchecked:
+    if outside.any() and not params.unchecked:
         raise DomainError(f"evaluation point {float(arr[outside][0])!r} outside [0, 1]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _blended_rows(params, arr)
-    overflowed = outside & ~np.isfinite(rows).all(axis=1)
-    if overflowed.any():
+    return arr, outside
+
+
+def _reject_overflow(arr: np.ndarray, finite: np.ndarray) -> None:
+    if not finite.all():
         raise DomainError(
-            f"basis row at evaluation point {float(arr[overflowed][0])!r} is not finite"
+            f"basis row at evaluation point {float(arr[~finite][0])!r} is not finite"
         )
-    return rows
 
 
-def _blended_rows(params: BasisParams, arr: np.ndarray) -> np.ndarray:
-    M, lam = params.degree, params.lam
-    low = bernstein_rows(M - 2, arr)
-    y = arr[:, None]
+def _taps(lam: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights of b_i, b_{i-1} and b_{i-2} in p_i."""
     one_minus = 1.0 - y
-    taps = (
+    return (
         one_minus * (1.0 - lam * y),
         2.0 * lam * y * one_minus,
         y * (1.0 - lam * one_minus),
     )
+
+
+def _blended_rows(params: BasisParams, arr: np.ndarray) -> np.ndarray:
+    M = params.degree
+    low = bernstein_rows(M - 2, arr)
     rows = np.zeros((len(arr), M + 1))
     scratch = np.empty_like(low)
-    for shift, tap in enumerate(taps):
+    for shift, tap in enumerate(_taps(params.lam, arr[:, None])):
         rows[:, shift : shift + M - 1] += np.multiply(low, tap, out=scratch)
     return rows
+
+
+def _tap_sums(
+    params: BasisParams, arr: np.ndarray, values: np.ndarray, start: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Three shifted window sums per point, blended by the taps, block by block.
+
+    Also returns each window's edge weights times the number of columns
+    beyond them, which bounds the mass of b outside a :func:`band` at a
+    point in [0, 1] (and is 0 for whole rows).  Blocks of about BLOCK_CELLS
+    window cells keep every temporary small, so the next block reuses its
+    memory instead of faulting in fresh pages.
+    """
+    out, tails = np.empty(len(arr)), np.empty(len(arr))
+    n = params.degree - 2
+    windows = _windows(values, width + 2)
+    step = max(1, BLOCK_CELLS // width)
+    for lo in range(0, len(arr), step):
+        block = slice(lo, lo + step)
+        y, first = arr[block], start[block]
+        low = _bernstein_window(n, y, first, width)
+        shifted = windows[first]
+        s0, s1, s2 = (
+            np.einsum("ij,ij->i", low, shifted[:, shift : shift + width]) for shift in range(3)
+        )
+        t0, t1, t2 = _taps(params.lam, y)
+        out[block] = t0 * s0 + t1 * s1 + t2 * s2
+        tails[block] = low[:, 0] * first + low[:, -1] * (n + 1 - width - first)
+    return out, tails
 
 
 def basis_row(params: BasisParams, y: float) -> np.ndarray:

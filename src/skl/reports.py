@@ -250,8 +250,7 @@ def table1_errors(ms: Sequence[int] = TABLE1_MS) -> np.ndarray:
     exact = f(TABLE1_XS)
     cols = []
     for m in ms:
-        config = OperatorConfig(m=m, q=TABLE1_Q, lam=TABLE1_LAM, rho=TABLE1_RHO)
-        cols.append(np.abs(apply(config, f, TABLE1_XS) - exact))
+        cols.append(np.abs(apply(_table1_ladder_config(m), f, TABLE1_XS) - exact))
     return np.column_stack(cols)
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisParams, basis_row, basis_rows
+from .basis import BasisParams, basis_row, basis_rows, contract
 from .errors import DomainError, EvaluationError
 from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
 
@@ -89,15 +89,13 @@ def window_integrals(config: OperatorConfig, f: Callable) -> np.ndarray:
 def apply(config: OperatorConfig, f: Callable, ys) -> np.ndarray | float:
     """Evaluate K(f; y) at one point or an array of points.
 
-    Each basis row is contracted with the window integrals by one row sum,
+    The window integrals meet the basis through :func:`.basis.contract`,
     so a point gets the same value bit for bit whatever shape ``ys``
     arrives in.
     """
     integrals = window_integrals(config, f)
-    arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    rows = basis_rows(config.basis, arr)
-    out = np.multiply(rows, integrals, out=rows).sum(axis=1)
-    if np.isscalar(ys) or np.asarray(ys).ndim == 0:
+    out = contract(config.basis, ys, integrals)
+    if np.ndim(ys) == 0:
         return float(out[0])
     return out
 
@@ -145,7 +143,7 @@ def oracle_moments(config: OperatorConfig, u: float) -> tuple[float, float, floa
     return float(e0), float(e1), float(e2)
 
 
-def oracle_central_moments(config: OperatorConfig, u: float) -> tuple[float, float]:
+def oracle_central_moments(config: OperatorConfig, u) -> tuple:
     """(psi1, psi2) with each window integrated in closed form, then summed.
 
     Each window contributes exactly
@@ -156,17 +154,26 @@ def oracle_central_moments(config: OperatorConfig, u: float) -> tuple[float, flo
     with A = i/(m+1) - u and B = 1/(m+1), so the only rounding left is the
     weighted sum itself.  This route never touches the raw moments, which
     is what makes the identity residual a real consistency check.
+
+    ``u`` may be an array: each point's pair comes from its own dense basis
+    row and row sum, so it equals the scalar call bit for bit.  A scalar
+    ``u`` gives two floats.
     """
-    weights = basis_row(config.basis, u)
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    weights = basis_rows(config.basis, us)
     M = config.degree
     B = 1.0 / (config.m + 1)
     r1 = config.rho + 1.0
     r2 = 2.0 * config.rho + 1.0
     idx = np.arange(M + 1, dtype=float)
-    A = idx * B - u
+    A = idx * B - us[:, None]
     first = A + B / r1
     second = A * A + 2.0 * A * (B / r1) + B * B / r2
-    return float((weights * first).sum()), float((weights * second).sum())
+    psi1 = (weights * first).sum(axis=1)
+    psi2 = (weights * second).sum(axis=1)
+    if np.ndim(u) == 0:
+        return float(psi1[0]), float(psi2[0])
+    return psi1, psi2
 
 
 def identity_residual(config: OperatorConfig, u: float) -> float:
@@ -204,19 +211,25 @@ def error_curve(config: OperatorConfig, f: Callable, grid: Grid) -> ErrorTable:
     exact = evaluate_on(f, grid.points)
     errors = np.abs(approx - exact)
     scan = modulus_scan(f, lo=0.0, hi=config.sample_hi)
-    deltas = np.array([point_delta(config, float(x)) for x in grid.points])
+    deltas = point_delta(config, grid.points)
     bounds = np.array([2.0 * scan.value_at(d) for d in deltas])
     return ErrorTable(xs=grid.points, errors=errors, bounds=bounds, deltas=deltas)
 
 
-def point_delta(config: OperatorConfig, u: float) -> float:
-    """Concentration radius sqrt(oracle psi2(u)).
+def point_delta(config: OperatorConfig, u):
+    """Concentration radius sqrt(oracle psi2(u)), a float or one per point of ``u``.
 
     A second central moment of a positive operator cannot be negative;
     anything below -1e-12 marks an internal inconsistency and raises, while
     mere rounding noise is clamped to 0.
     """
-    psi2 = oracle_central_moments(config, u)[1]
-    if psi2 < -1e-12:
-        raise EvaluationError(f"second central moment {psi2} is negative at u={u}")
-    return math.sqrt(max(psi2, 0.0))
+    psi2 = np.atleast_1d(oracle_central_moments(config, u)[1])
+    negative = psi2 < -1e-12
+    if negative.any():
+        j = int(np.argmax(negative))
+        at = float(np.atleast_1d(np.asarray(u, dtype=float))[j])
+        raise EvaluationError(f"second central moment {float(psi2[j])} is negative at u={at}")
+    deltas = np.sqrt(np.maximum(psi2, 0.0))
+    if np.ndim(u) == 0:
+        return float(deltas[0])
+    return deltas

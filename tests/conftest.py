@@ -41,6 +41,40 @@ def exact_weight(m: int, q: int, lam: Fraction, i: int, y: Fraction) -> Fraction
     return (1 - lam) * blended + lam * plain
 
 
+def exact_contraction(m: int, q: int, lam: Fraction, y: Fraction, values) -> Fraction:
+    """sum_i p_i(y) * values[i] exactly, with p_i as in :func:`exact_weight`.
+
+    With y = a/d every term of exact_weight is an integer over d**M, so the
+    two legs are summed over integers sharing their powers and binomial
+    coefficients, which keeps a degree in the thousands fast.
+    """
+    M = m + q
+    a, d = y.numerator, y.denominator
+    b = d - a
+    pa, pb = [1], [1]
+    for _ in range(M):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    low, high = _binomial_row(M - 2), _binomial_row(M)
+    blended = plain = Fraction(0)
+    for i, value in enumerate(values):
+        leg = 0
+        if i <= M - 2:
+            leg += low[i] * pa[i] * pb[M - i - 1] * d
+        if i >= 2:
+            leg += low[i - 2] * pa[i - 1] * pb[M - i] * d
+        blended += leg * Fraction(value)
+        plain += high[i] * pa[i] * pb[M - i] * Fraction(value)
+    return ((1 - lam) * blended + lam * plain) / d ** M
+
+
+def _binomial_row(n: int) -> list[int]:
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
 def exact_window_integral(m: int, rho: Fraction, i: int, k: int) -> Fraction:
     """integral_0^1 ((i + t^rho)/(m+1))^k dt for rational rho."""
     return Fraction(1, (m + 1) ** k) * sum(

@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skl.basis import BasisParams, basis_row, basis_rows
+from skl.basis import (
+    BAND_EPSILON,
+    BasisParams,
+    _bernstein_window,
+    band,
+    basis_row,
+    basis_rows,
+    bernstein_rows,
+    contract,
+)
 from skl.errors import DomainError
 
-from conftest import exact_weight
+from conftest import exact_contraction, exact_weight
 
 PARTITION_TOL = 1e-12
 WEIGHT_FLOOR = -1e-14
@@ -142,3 +151,93 @@ def test_unchecked_rejects_non_finite_rows():
     # At high degree a modest point overflows: sum |b_k(1.7)| = 2.4**998.
     with pytest.raises(DomainError, match="point 1.7 is not finite"):
         basis_rows(BasisParams(m=1000, unchecked=True), [1.7])
+
+
+def _dense_contraction(params, ys, values):
+    return (basis_rows(params, ys) * values).sum(axis=1)
+
+
+def test_band_keeps_all_but_epsilon_of_the_row():
+    ys = np.array([0.01, 0.5, 0.99])
+    for n in (50, 1003, 10_000):
+        rows = bernstein_rows(n, ys)
+        start, width = band(n, ys)
+        for row, first in zip(rows, start):
+            kept = np.zeros(n + 1, dtype=bool)
+            kept[first : first + width] = True
+            assert math.fsum(row[~kept].tolist()) <= BAND_EPSILON, (n, first)
+        # A band is a slice of the dense row, bit for bit.
+        banded = _bernstein_window(n, ys, start, width)
+        for j, first in enumerate(start):
+            assert np.array_equal(banded[j], rows[j, first : first + width]), (n, j)
+    assert band(1003, ys)[1] == 295
+
+
+def test_contract_matches_rational_reference_at_high_degree():
+    # The banded sums against the exact weights over the whole row: the
+    # columns the band leaves out carry nothing a float can see.
+    m, q = 995, 5
+    values = np.cos(np.arange(m + q + 1) / 7.0) + 2.0
+    ys = [Fraction(0), Fraction(1, 1000), Fraction(3, 10), Fraction(11, 20), Fraction(7, 10)]
+    ys.append(Fraction(1))
+    for lam in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        got = contract(BasisParams(m=m, q=q, lam=float(lam)), [float(y) for y in ys], values)
+        for y, value in zip(ys, got):
+            expected = float(exact_contraction(m, q, lam, y, values.tolist()))
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (lam, y)
+
+
+def test_contract_keeps_the_tail_of_steep_values():
+    # The band drops at most 2**-60 of b's mass, but (i/(M+1))**200 puts
+    # the terms b_k * v_k near k = 410 at y = 0.3, close enough to the
+    # band's end at 446 that the band alone loses 0.4% of the sum (7e-6 at
+    # y = 0.5).  Such points must sum their whole row, in any batch.
+    m, q = 995, 5
+    values = (np.arange(m + q + 1) / (m + q + 1.0)) ** 200
+    lam = Fraction(1, 2)
+    params = BasisParams(m=m, q=q, lam=float(lam))
+    ys = [Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)]
+    got = contract(params, [float(y) for y in ys], values)
+    for y, value in zip(ys, got):
+        expected = float(exact_contraction(m, q, lam, y, values.tolist()))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0), y
+    assert got[0] == contract(params, [0.3], values)[0]
+
+
+def test_contract_at_the_smallest_degree():
+    # m = 2, q = 0: b_{M-2} has degree 0, so the band is its one column.
+    start, width = band(0, [0.0, 0.4, 1.0])
+    assert width == 1 and not start.any()
+    lam, values = Fraction(1, 4), [0.5, -1.0, 2.0]
+    params = BasisParams(m=2, q=0, lam=float(lam))
+    ys = [Fraction(0), Fraction(2, 5), Fraction(1)]
+    points = [float(y) for y in ys]
+    got = contract(params, points, values)
+    for y, value in zip(ys, got):
+        exact = exact_contraction(2, 0, lam, y, values)
+        # At this degree the reference is exact_weight's own sum.
+        assert exact == sum(
+            exact_weight(2, 0, lam, i, y) * Fraction(v) for i, v in enumerate(values)
+        )
+        assert value == pytest.approx(float(exact), abs=1e-15)
+    assert got == pytest.approx(_dense_contraction(params, points, values), abs=1e-15)
+
+
+def test_contract_unchecked_points_use_whole_rows():
+    # Outside [0, 1] the Hoeffding bound does not hold, so those points sum
+    # whole rows and agree with the dense contraction.  Their rows alternate
+    # in sign, so both sums lose digits in proportion to sum |p_i v_i|.  A
+    # row that overflows raises as it does in basis_rows.
+    params = BasisParams(m=40, q=3, lam=0.6, unchecked=True)
+    values = np.linspace(-1.0, 2.0, params.degree + 1)
+    ys = np.array([-0.2, 0.3, 1.15, 1.0, 0.0])
+    got = contract(params, ys, values)
+    scale = (np.abs(basis_rows(params, ys)) * np.abs(values)).sum(axis=1)
+    assert np.all(np.abs(got - _dense_contraction(params, ys, values)) <= 1e-14 * scale)
+    assert got[1] == contract(params, [0.3], values)[0]
+    with pytest.raises(DomainError, match="point 1.7 is not finite"):
+        contract(BasisParams(m=1000, unchecked=True), [0.5, 1.7], np.ones(1001))
+    with pytest.raises(DomainError, match="nan is not finite"):
+        contract(params, [0.5, float("nan")], values)
+    with pytest.raises(DomainError, match="1.2 outside"):
+        contract(BasisParams(m=5), [0.5, 1.2], np.ones(6))

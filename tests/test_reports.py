@@ -8,7 +8,6 @@ from skl.reference import (
     TABLE1_XS,
 )
 from skl.reports import (
-    AuditRecord,
     CheckResult,
     RunConfig,
     VerifyResult,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_moment, exact_window_integral
 from skl.audit import uni_moment_rows
-from skl.errors import DomainError
+from skl.errors import DomainError, EvaluationError
 from skl.functions import resolve_function
 from skl.numerics import (
     JACOBI_TOLERANCE,
@@ -17,7 +17,6 @@ from skl.numerics import (
     composite_nodes,
     evaluate_on,
     jacobi_rule,
-    unit_grid,
 )
 from skl.univariate import (
     OperatorConfig,
@@ -230,6 +229,32 @@ def test_point_delta_is_sqrt_of_psi2():
     cfg = OperatorConfig(m=14, q=2, lam=0.7, rho=0.5)
     psi2 = oracle_central_moments(cfg, 0.42)[1]
     assert point_delta(cfg, 0.42) == pytest.approx(math.sqrt(psi2), abs=1e-15)
+
+
+def test_array_moments_equal_scalar_calls():
+    # One array call gives each point the values of its own scalar call.
+    us = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-9, 0.123456789]])
+    for cfg in (
+        OperatorConfig(m=14, q=2, lam=0.7, rho=0.5),
+        OperatorConfig(m=200, q=5, lam=0.5, rho=0.1),
+    ):
+        psi1, psi2 = oracle_central_moments(cfg, us)
+        single = np.array([oracle_central_moments(cfg, float(u)) for u in us])
+        assert np.array_equal(psi1, single[:, 0]) and np.array_equal(psi2, single[:, 1])
+        deltas = point_delta(cfg, us)
+        assert np.array_equal(deltas, [point_delta(cfg, float(u)) for u in us])
+        scalars = (*oracle_central_moments(cfg, 0.3), point_delta(cfg, 0.3))
+        assert all(isinstance(v, float) for v in scalars)
+
+
+def test_point_delta_names_the_negative_point(monkeypatch):
+    import skl.univariate as U
+
+    cfg = OperatorConfig(m=14)
+    psi2 = np.array([0.1, -1e-9, 0.2])
+    monkeypatch.setattr(U, "oracle_central_moments", lambda c, u: (None, psi2))
+    with pytest.raises(EvaluationError, match=r"-1e-09 is negative at u=0\.5"):
+        point_delta(cfg, np.array([0.25, 0.5, 0.75]))
 
 
 def test_closed_identity_residual_nonzero():
