@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import basis_rows
-from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
+from .numerics import Grid, _window_estimate, evaluate_on
 from .univariate import OperatorConfig, apply, point_delta
 
 
@@ -73,17 +73,16 @@ def _as_points(ys) -> tuple[np.ndarray, bool]:
 def _generic_window_integrals(config: BivariateConfig, g: Callable) -> np.ndarray:
     """Double integrals of g over every window pair, shape (M1+1, M2+1).
 
-    Gauss-Jacobi in x = t**rho on both axes first; any first-axis window
-    with a rejected pair is redone with the composite fallback rule.
+    The Gauss-Jacobi ladder in x = t**rho on both axes: a first-axis window
+    stops at the first pair of rules that agree on all its pairs, and one
+    the 32/64 pair still rejects is redone with the composite fallback rule
+    (see :func:`.numerics._window_estimate`).
     """
-    rows = np.arange(config.axis1.degree + 1)
-    integrals, rejected = _window_estimate(
-        lambda nodes, weights: _pair_integrals(config, g, nodes, weights, rows), config.rho
+    return _window_estimate(
+        lambda nodes, weights, rows: _pair_integrals(config, g, nodes, weights, rows),
+        config.rho,
+        config.axis1.degree + 1,
     )
-    redo = np.flatnonzero(rejected.any(axis=1))
-    if redo.size:
-        integrals[redo] = _pair_integrals(config, g, *_fallback_window_rule(config.rho), redo)
-    return integrals
 
 
 def _pair_integrals(
@@ -92,7 +91,9 @@ def _pair_integrals(
     """One rule on both axes for the window pairs (i1, 0..M2) of each i1 in rows.
 
     Evaluation is chunked along the first window index: each chunk touches
-    n x ((M2+1) * n) points, which caps memory for large degree pairs.
+    n x ((M2+1) * n) points for an n-node rule, which caps memory for large
+    degree pairs.  A row's value depends only on its own chunk, so it is
+    the same whichever rows share the call.
     """
     c1, c2 = config.axis1, config.axis2
     M2 = c2.degree

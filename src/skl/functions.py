@@ -156,10 +156,12 @@ class Expression:
             raise EvaluationError(f"expression {self.source!r} overflows a float") from None
         if np.iscomplexobj(result):
             raise EvaluationError(f"expression {self.source!r} has a complex value")
-        arrays = [a for a in args if isinstance(a, np.ndarray)]
-        if arrays and np.ndim(result) == 0:
+        # A result that uses only some arguments (a constant, or y1^2 over
+        # y1 and y2) has a smaller shape; callers expect the broadcast one.
+        if any(isinstance(a, np.ndarray) for a in args):
             shape = np.broadcast(*[np.asarray(a) for a in args]).shape
-            return np.full(shape, float(result))
+            if np.shape(result) != shape:
+                return np.full(shape, result, dtype=float)
         return result
 
     def __repr__(self):

@@ -15,15 +15,17 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 
-#: Node counts of the two Gauss-Jacobi window rules.  Their gap estimates the
-#: error of the larger one, which supplies the window integral when the gap
-#: is within JACOBI_TOLERANCE * max(1, |integral|).
-JACOBI_ORDERS = (32, 64)
+#: Node counts of the doubling Gauss-Jacobi ladder.  Each consecutive pair's
+#: gap estimates the error of its larger rule, which supplies a window's
+#: integral at the first pair whose gap is within
+#: JACOBI_TOLERANCE * max(1, |integral|).  An n-node rule is exact for
+#: degree 2n - 1, so a polynomial target of degree <= 15 stops at 8/16.
+JACOBI_ORDERS = (8, 16, 32, 64)
 JACOBI_TOLERANCE = 1e-11
 
 #: Composite quadrature defaults: 32-node Gauss-Legendre cells over 8 uniform
 #: subdivisions of [0, 1].  The composite rule is the fallback for windows
-#: the Gauss-Jacobi pair cannot resolve (targets not smooth inside a window).
+#: the Gauss-Jacobi ladder cannot resolve (targets not smooth inside a window).
 DEFAULT_QUADRATURE_ORDER = 32
 DEFAULT_SUBDIVISIONS = 8
 
@@ -110,21 +112,37 @@ def jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _window_estimate(
-    integrate: Callable[[np.ndarray, np.ndarray], np.ndarray], rho: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Window integrals of f(t**rho) over t in [0, 1] and where to reject them.
+    integrate: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    rho: float,
+    count: int,
+) -> np.ndarray:
+    """Integrals of f(t**rho) over t in [0, 1] for ``count`` windows.
 
     With x = t**rho the integral is a Jacobi-weighted one with
-    beta = 1/rho - 1.  ``integrate(nodes, weights)`` applies one rule in x
-    to every window; it runs once per rule in JACOBI_ORDERS.  Returns the
-    largest rule's values and the mask where the gap between the two rules
-    exceeds JACOBI_TOLERANCE * max(1, |value|).  Rejected entries need
-    ``_fallback_window_rule``.
+    beta = 1/rho - 1.  ``integrate(nodes, weights, rows)`` applies one rule
+    in x to the windows whose indices are in ``rows`` and returns their
+    values, first axis along ``rows``.  The rules of JACOBI_ORDERS are tried
+    in consecutive pairs: a window keeps the larger rule's value at the
+    first pair whose gap is within JACOBI_TOLERANCE * max(1, |value|) for
+    every entry of its row, and only the windows still rejected go on to
+    the next rule, which is built only then.  Windows that the last pair
+    rejects take ``_fallback_window_rule``.  A window's value depends only
+    on its own row, never on which other windows climbed.
     """
     beta = 1.0 / rho - 1.0
-    low, high = (integrate(*jacobi_rule(n, beta)) for n in JACOBI_ORDERS)
-    rejected = np.abs(low - high) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(high))
-    return high, rejected
+    rows = np.arange(count)
+    previous = integrate(*jacobi_rule(JACOBI_ORDERS[0], beta), rows)
+    integrals = np.empty_like(previous)
+    for n in JACOBI_ORDERS[1:]:
+        current = integrate(*jacobi_rule(n, beta), rows)
+        gap = np.abs(previous - current) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(current))
+        rejected = gap.reshape(len(rows), -1).any(axis=1)
+        integrals[rows[~rejected]] = current[~rejected]
+        rows, previous = rows[rejected], current[rejected]
+        if not rows.size:
+            return integrals
+    integrals[rows] = integrate(*_fallback_window_rule(rho), rows)
+    return integrals
 
 
 def _fallback_window_rule(rho: float) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BasisParams, basis_row, basis_rows, contract
 from .errors import DomainError, EvaluationError
-from .numerics import Grid, _fallback_window_rule, _window_estimate, evaluate_on
+from .numerics import Grid, _window_estimate, evaluate_on
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,9 @@ class OperatorConfig:
     ``rho`` bends the Kantorovich node inside each window.  The window
     integrals substitute x = t**rho, which turns the unbounded derivative
     at t = 0 for rho < 1 into the Jacobi weight x**(1/rho - 1) of a
-    Gauss-Jacobi rule; windows where its 32- and 64-node values disagree
-    fall back to a composite rule in t.
+    Gauss-Jacobi rule.  A doubling ladder of 8, 16, 32 and 64 nodes stops
+    each window at the first pair of rules that agree; windows where even
+    the 32- and 64-node values disagree fall back to a composite rule in t.
     """
 
     m: int
@@ -64,26 +65,22 @@ class OperatorConfig:
 def window_integrals(config: OperatorConfig, f: Callable) -> np.ndarray:
     """integral_0^1 f((i + t**rho) / (m + 1)) dt for every index i.
 
-    Gauss-Jacobi in x = t**rho first; rejected windows take the composite
-    fallback rule.  BLAS reduces a row of a matrix-vector product
-    differently depending on the row's place and the matrix's shape, so the
-    rejected rows keep their places in a zero-filled full-size matrix: their
-    values are then bit for bit the composite rule's on every window.
+    The Gauss-Jacobi ladder in x = t**rho, then the composite fallback rule
+    for windows it rejects (see :func:`.numerics._window_estimate`).  BLAS
+    reduces a row of a matrix-vector product differently depending on the
+    row's place and the matrix's shape, so every rule fills the windows it
+    integrates into a zero-filled full-size matrix: a window's value is
+    then bit for bit the same whichever other windows share the rule.
     """
-    idx = np.arange(config.degree + 1, dtype=float)
+    count = config.degree + 1
+    idx = np.arange(count, dtype=float)
 
-    def points(nodes, rows=slice(None)):
-        return (idx[rows, None] + nodes[None, :]) / (config.m + 1)
+    def integrate(nodes, weights, rows):
+        values = np.zeros((count, len(nodes)))
+        values[rows] = evaluate_on(f, (idx[rows, None] + nodes[None, :]) / (config.m + 1))
+        return (values @ weights)[rows]
 
-    integrals, rejected = _window_estimate(
-        lambda nodes, weights: evaluate_on(f, points(nodes)) @ weights, config.rho
-    )
-    if rejected.any():
-        nodes, weights = _fallback_window_rule(config.rho)
-        values = np.zeros((len(idx), len(nodes)))
-        values[rejected] = evaluate_on(f, points(nodes, rejected))
-        integrals[rejected] = (values @ weights)[rejected]
-    return integrals
+    return _window_estimate(integrate, config.rho, count)
 
 
 def apply(config: OperatorConfig, f: Callable, ys) -> np.ndarray | float:

@@ -68,8 +68,8 @@ def test_separable_path_matches_generic(rng):
 
 
 def test_generic_path_evaluation_count():
-    # Gauss-Jacobi pair on both axes: 32^2 + 64^2 evaluations per window
-    # pair when no window falls back to the composite rule.
+    # The cubic is exact at 8 nodes, so every window pair stops at the
+    # ladder's first pair: 8^2 + 16^2 evaluations each.
     config = BivariateConfig(m1=10, m2=10, q1=2, q2=2, lam1=0.5, lam2=0.5, rho=0.9)
     evaluations = 0
 
@@ -81,7 +81,7 @@ def test_generic_path_evaluation_count():
     y1, y2 = 0.3, 0.7
     value = apply_bi(config, cube, y1, y2)
     M = config.axis1.degree
-    assert evaluations <= (M + 1) ** 2 * (32 ** 2 + 64 ** 2)
+    assert evaluations == (M + 1) ** 2 * (8 ** 2 + 16 ** 2)
     # (y1 + y2)^3 expands into separable monomial products.
     expanded = sum(
         c * monomial_moment(config.axis1, y1, j) * monomial_moment(config.axis2, y2, 3 - j)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from skl.bivariate import BivariateConfig, apply_bi
 from skl.errors import EvaluationError
 from skl.functions import (
     BUILTINS,
@@ -9,6 +10,7 @@ from skl.functions import (
     parse_expression,
     resolve_function,
 )
+from skl.univariate import apply
 
 
 def test_expression_matches_builtin_polynomial():
@@ -70,6 +72,19 @@ def test_const_prefix_broadcasts():
     assert two_d(0.1, 0.9) == 2.5
     with pytest.raises(ExpressionError):
         resolve_function("const:abc")
+
+
+def test_expression_of_one_variable_broadcasts_over_both():
+    # y1^2 uses only its first argument; its value must still have the
+    # broadcast shape, or evaluate_on drops to a point-by-point loop.
+    a, b = np.linspace(0, 1, 3)[:, None], np.linspace(0, 1, 4)[None, :]
+    for text in ("y1^2", "y2 + 1"):
+        assert resolve_function(text, arity=2)(a, b).shape == (3, 4)
+    config = BivariateConfig(m1=5, m2=7, q1=1, q2=2, lam1=0.25, lam2=0.75, rho=0.5)
+    ys1, ys2 = np.linspace(0, 1, 5), np.linspace(0, 1, 6)
+    surface = apply_bi(config, resolve_function("y1^2", arity=2), ys1, ys2)
+    expected = np.outer(apply(config.axis1, resolve_function("y^2"), ys1), np.ones(6))
+    assert surface == pytest.approx(expected, abs=1e-12)
 
 
 def test_expression_repr_and_type():

@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_moment, exact_window_integral
 from skl.audit import uni_moment_rows
+from skl.bivariate import BivariateConfig, apply_bi
 from skl.errors import DomainError, EvaluationError
 from skl.functions import resolve_function
 from skl.numerics import (
+    JACOBI_ORDERS,
     JACOBI_TOLERANCE,
     SINGULAR_ORIGIN_LEVELS,
     Grid,
@@ -63,9 +65,11 @@ def test_window_integrals_of_one():
 
 
 def test_window_integrals_fall_back_where_jacobi_pair_disagrees():
-    # Targets with a kink or a root inside a window: Gauss-Jacobi is off by
-    # ~1e-5 there, so exactly those windows take the composite rule's value.
-    # Three kinks show that several flagged windows keep that value too.
+    # Targets with a kink or a root inside a window: every Gauss-Jacobi pair
+    # of the ladder is off by ~1e-5 there, so exactly those windows take the
+    # composite rule's value.  Three kinks show that several flagged windows
+    # keep that value too.  Every other window keeps the larger rule of the
+    # first pair that agrees.
     kinks = "((y-0.3)^2)^0.5 + ((y-0.55)^2)^0.5 + ((y-0.8)^2)^0.5"
     cases = (("y^0.5", 2.0, [0]), ("((y-0.3)^2)^0.5", 0.9, [6]), (kinks, 2.0, [6, 11, 16]))
     for text, rho, flagged in cases:
@@ -76,14 +80,58 @@ def test_window_integrals_fall_back_where_jacobi_pair_disagrees():
         def rule_values(nodes, weights):
             return evaluate_on(f, (idx[:, None] + nodes[None, :]) / (cfg.m + 1)) @ weights
 
-        low, high = (rule_values(*jacobi_rule(n, 1.0 / rho - 1.0)) for n in (32, 64))
-        rejected = np.abs(low - high) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(high))
-        assert np.flatnonzero(rejected).tolist() == flagged
         t, w = composite_nodes(origin_levels=SINGULAR_ORIGIN_LEVELS if rho < 1.0 else 0)
-        composite = rule_values(t ** rho, w)
-        values = window_integrals(cfg, f)
-        assert np.array_equal(values[rejected], composite[rejected])
-        assert np.array_equal(values[~rejected], high[~rejected])
+        expected = rule_values(t ** rho, w)
+        pending = np.ones(len(idx), dtype=bool)
+        rules = [rule_values(*jacobi_rule(n, 1.0 / rho - 1.0)) for n in JACOBI_ORDERS]
+        for low, high in zip(rules, rules[1:]):
+            gap = np.abs(low - high)
+            agree = pending & (gap <= JACOBI_TOLERANCE * np.maximum(1.0, np.abs(high)))
+            expected[agree] = high[agree]
+            pending &= ~agree
+        assert np.flatnonzero(pending).tolist() == flagged
+        assert np.array_equal(window_integrals(cfg, f), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@example(coefficients=[1.0] * 41, m=2, q=8, rho=1.0)
+@example(coefficients=[1.0] * 41, m=3, q=8, rho=3.0)
+@given(
+    coefficients=st.integers(0, 40).flatmap(
+        lambda degree: st.lists(st.floats(0.0, 10.0), min_size=degree + 1, max_size=degree + 1)
+    ),
+    m=st.integers(2, 60),
+    q=st.integers(0, 8),
+    rho=st.floats(0.1, 3.0),
+)
+def test_window_integrals_of_polynomials_are_exact(coefficients, m, q, rho):
+    # An n-node rule is exact up to degree 2n - 1 for every rho.  Degrees
+    # above 15 make the 8/16 pair disagree on windows whose values are not
+    # negligible, which needs a small m (the two examples); the 16-node rule
+    # is then already exact to rounding, so no window goes on to 32/64.
+    # Nonnegative coefficients keep the reference sum free of cancellation.
+    text = " + ".join(f"{c!r}*y^{k}" for k, c in enumerate(coefficients))
+    cfg = OperatorConfig(m=m, q=q, rho=rho)
+    values = window_integrals(cfg, resolve_function(text))
+    for i, value in enumerate(values):
+        exact = math.fsum(
+            c * monomial_kantorovich_integral(cfg, i, k) for k, c in enumerate(coefficients)
+        )
+        assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact)), (i, text)
+
+
+def test_smooth_targets_build_only_the_first_two_rules():
+    # A polynomial of degree <= 15 is exact at 8 nodes, so the 8/16 pair
+    # agrees on every window and the 32- and 64-node rules are never built.
+    jacobi_rule.cache_clear()
+    apply(OperatorConfig(m=30, q=3, lam=0.5, rho=0.5), resolve_function("table1-poly"), 0.4)
+    g = resolve_function("(y1 + y2)^15", arity=2)
+    apply_bi(BivariateConfig(m1=6, m2=8, rho=0.5), g, 0.3, 0.7)
+    assert jacobi_rule.cache_info().currsize == 2
+    hits = jacobi_rule.cache_info().hits
+    for n in (8, 16):
+        jacobi_rule(n, 1.0)
+    assert jacobi_rule.cache_info().hits == hits + 2
 
 
 def test_frozen_monomial_integral():
