@@ -36,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
+from .numerics import BLOCK_CELLS
 
 #: Basis degree must be at least this; the C(M-2, .) legs need M - 2 >= 0.
 MIN_DEGREE = 2
@@ -47,9 +48,6 @@ BAND_EPSILON = 2.0 ** -60
 #: Relative size of the last bit of a double; a band whose dropped part
 #: could reach it in a point's sum makes :func:`contract` sum the whole row.
 ROUNDING = 2.0 ** -53
-
-#: Band cells per block of :func:`contract` (256 kB of float64 each).
-BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ the largest max-min range over every window of points whose span stays within
 delta.  One kernel serves the univariate modulus and both partial moduli: it
 finds every window's max and min along one axis by log-step doubling, so a
 query costs O(n log window) vectorized work and keeps no state between calls.
+A surface runs it stripe by stripe, sized by the shared cell budget
+``numerics.BLOCK_CELLS``: each stripe holds every sample along the window
+axis and as many lines across it as fit, copied contiguous, so the doubling
+temporaries stay in cache; a 1-D sample is a single stripe.
 Grid estimates are lower bounds of the true modulus; callers that need a
 guaranteed upper bound must pad by a Lipschitz-times-step term.
 """
@@ -18,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .numerics import DEFAULT_SUP_GRID_POINTS, evaluate_on
+from .numerics import BLOCK_CELLS, DEFAULT_SUP_GRID_POINTS, evaluate_on
 
 #: Per-axis sample count for bivariate partial moduli; 501**2 evaluations
 #: keeps surface sampling cheap while resolving the window widths in use.
@@ -34,26 +38,48 @@ def _window_length(delta: float, step: float) -> int:
     return int(math.floor(delta / step + 1e-9)) + 1
 
 
-def _max_window_range(values: np.ndarray, window: int, axis: int = 0) -> float:
-    """Largest (max - min) over all runs of ``window`` consecutive samples along ``axis``.
+def _check_finite(**bounds: float) -> None:
+    for name, value in bounds.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
+
+
+def _stripe_range(stripe: np.ndarray, window: int) -> float:
+    """Largest (max - min) over all runs of ``window`` consecutive rows of ``stripe``.
 
     Log-step doubling: each round leaves entry j holding the extreme of the
     ``span`` samples from j on, and two overlapping spans cover each window.
     """
-    window = min(window, values.shape[axis])
-    if window <= 1:
-        return 0.0
     extremes = []
     # Max first, min second, so only one doubling pyramid is alive at a time.
     for pick in (np.maximum, np.minimum):
-        run, span = np.moveaxis(values, axis, 0), 1
+        run, span = stripe, 1
         while 2 * span <= window:
             run = pick(run[:-span], run[span:])
             span *= 2
         shift = window - span
         extremes.append(pick(run[: len(run) - shift], run[shift:]))
     high, low = extremes
-    return float((high - low).max())
+    return (high - low).max()
+
+
+def _max_window_range(values: np.ndarray, window: int, axis: int = 0) -> float:
+    """Largest (max - min) over all runs of ``window`` consecutive samples along ``axis``.
+
+    Each stripe takes as many whole lines along ``axis`` as fit in
+    BLOCK_CELLS samples (at least one), and ``np.max`` of the stripes'
+    ranges keeps a NaN sample's ``nan``.
+    """
+    length = values.shape[axis]
+    window = min(window, length)
+    if window <= 1:
+        return 0.0
+    lines = np.moveaxis(values, axis, 0).reshape(length, -1)
+    width = max(1, BLOCK_CELLS // length)
+    stripes = (
+        np.ascontiguousarray(lines[:, lo : lo + width]) for lo in range(0, lines.shape[1], width)
+    )
+    return float(np.max([_stripe_range(stripe, window) for stripe in stripes]))
 
 
 @dataclass(frozen=True)
@@ -86,6 +112,7 @@ def modulus_scan(
     """Sample ``f`` uniformly on [lo, hi] for modulus queries."""
     if count < 2:
         raise DomainError("count must be >= 2")
+    _check_finite(lo=lo, hi=hi)
     if hi <= lo:
         raise DomainError("hi must exceed lo")
     xs = np.linspace(lo, hi, count)
@@ -136,6 +163,7 @@ def surface_modulus(
     """Sample ``g`` on [lo1, hi1] x [lo2, hi2] for partial-modulus queries."""
     if count < 2:
         raise DomainError("count must be >= 2")
+    _check_finite(lo1=lo1, hi1=hi1, lo2=lo2, hi2=hi2)
     if hi1 <= lo1 or hi2 <= lo2:
         raise DomainError("each hi must exceed its lo")
     X, Y = np.meshgrid(

@@ -38,6 +38,12 @@ SINGULAR_ORIGIN_LEVELS = 16
 #: Default number of points for sup-norm and modulus grids.
 DEFAULT_SUP_GRID_POINTS = 10_001
 
+#: Cells per block of a blocked kernel (256 kB of float64): the band blocks
+#: of ``basis.contract`` and the grid stripes of the modulus window kernel.
+#: Temporaries this small stay in cache, and the next block reuses their
+#: memory instead of faulting in fresh pages.
+BLOCK_CELLS = 1 << 15
+
 
 @lru_cache(maxsize=64)
 def _composite_cells(subdivisions: int, origin_levels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ import pytest
 
 from skl.errors import DomainError
 from skl.modulus import ModulusScan, SurfaceModulus, modulus_scan, surface_modulus
+from skl.numerics import BLOCK_CELLS
 
 #: omega(u^2; 0.1) on [0,1] is exactly 2*0.1 - 0.1^2.
 OMEGA_SQUARE_TENTH = 0.19
@@ -17,6 +18,14 @@ def brute_window_range(values, window):
         chunk = values[start : start + window]
         best = max(best, float(chunk.max() - chunk.min()))
     return best
+
+
+def brute_line_range(values, window, axis):
+    """Largest max - min over every window of every line along ``axis``."""
+    runs = np.lib.stride_tricks.sliding_window_view(
+        values, min(window, values.shape[axis]), axis=axis
+    )
+    return float((runs.max(axis=-1) - runs.min(axis=-1)).max())
 
 
 def test_square_modulus_anchor():
@@ -40,11 +49,10 @@ def test_scan_matches_brute_force(rng):
         windows = (2, 3, 4, 5, 7, 8, 9, 16, 17, len(values) // 2, len(values), len(values) + 4)
         for window in windows:
             # delta strictly inside ((window-1)*step, window*step) selects
-            # exactly `window` consecutive samples.
+            # exactly `window` consecutive samples.  The kernel only picks
+            # samples and subtracts one pair, so the match is exact.
             delta = (window - 0.5) * scan.step
-            assert scan.value_at(delta) == pytest.approx(
-                brute_window_range(values, window), abs=1e-12
-            )
+            assert scan.value_at(delta) == brute_window_range(values, window)
 
 
 def test_value_at_zero_and_validation():
@@ -54,6 +62,25 @@ def test_value_at_zero_and_validation():
         scan.value_at(-0.1)
     with pytest.raises(DomainError):
         modulus_scan(lambda u: u, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "bounds, name",
+    [((np.nan, 1.0), "lo"), ((0.0, np.inf), "hi"), ((-np.inf, np.inf), "lo")],
+)
+def test_scan_rejects_non_finite_bounds(bounds, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        modulus_scan(lambda u: u, *bounds)
+
+
+@pytest.mark.parametrize(
+    "bound, name",
+    [({"hi1": np.inf}, "hi1"), ({"lo1": np.nan}, "lo1"), ({"lo2": -np.inf}, "lo2"),
+     ({"hi2": np.nan}, "hi2")],
+)
+def test_surface_rejects_non_finite_bounds(bound, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        surface_modulus(lambda a, b: a + b, count=11, **bound)
 
 
 def test_identity_modulus_tracks_delta():
@@ -69,19 +96,31 @@ def test_partial_moduli_coordinate_split():
 
 
 def test_surface_modulus_matches_brute_force(rng):
-    values = rng.uniform(-1.0, 1.0, size=(19, 11))
-    sm = SurfaceModulus(lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0, values=values)
-    for window in (2, 3, 4, 5, 8, 9, 11, 16, 17, 19, 25):
-        # delta strictly inside ((window-1)*step, window*step) selects
-        # exactly `window` consecutive samples on each axis.
-        by_rows = max(
-            brute_window_range(values[:, j], window) for j in range(values.shape[1])
-        )
-        assert sm.omega1((window - 0.5) * sm.step1) == pytest.approx(by_rows, abs=1e-12)
-        by_cols = max(
-            brute_window_range(values[i, :], window) for i in range(values.shape[0])
-        )
-        assert sm.omega2((window - 0.5) * sm.step2) == pytest.approx(by_cols, abs=1e-12)
+    # (37, 1000) and (1000, 37) split the lines along each axis into more than
+    # one stripe of at most BLOCK_CELLS samples, the last one ragged; (19, 11)
+    # is a single stripe.
+    for shape in ((19, 11), (37, 1000), (1000, 37)):
+        values = rng.uniform(-1.0, 1.0, size=shape)
+        sm = SurfaceModulus(lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0, values=values)
+        for axis, query, step in ((0, sm.omega1, sm.step1), (1, sm.omega2, sm.step2)):
+            n = shape[axis]
+            for window in (1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, n, n + 4):
+                # delta strictly inside ((window-1)*step, window*step) selects
+                # exactly `window` consecutive samples along the axis.
+                assert query((window - 0.5) * step) == brute_line_range(values, window, axis)
+
+
+def test_surface_modulus_keeps_nan():
+    n, width = 400, BLOCK_CELLS // 400
+    assert n > 2 * width  # at least three stripes on each axis
+    for k in (0, width - 1, width, n // 2, n - 1):
+        # Sample (k, k) lies in the first stripe, on either side of the first
+        # edge between stripes, in a middle one or in the last, on both axes.
+        values = np.zeros((n, n))
+        values[k, k] = np.nan
+        sm = SurfaceModulus(lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0, values=values)
+        assert np.isnan(sm.omega1(0.05))
+        assert np.isnan(sm.omega2(0.05))
 
 
 def test_surface_modulus_rectangle():
