@@ -23,8 +23,10 @@ Contracting the rows with per-index values (``contract``) moves the three
 taps onto the values and sums each Bernstein row only over its Hoeffding
 band, about 2 * 4.6 * sqrt(M) columns, which drops at most 2**-60 of its
 mass; a point whose values make the dropped part visible in its sum takes
-the whole row.  The dense rows (``basis_rows``) are the full-width case of
-the same log-space builder.
+the whole row.  One call contracts any number of value columns with each
+band row built once.  The dense rows (``basis_rows``) are the full-width
+case of the same log-space builder, kept for the oracles and the tensor
+operator.
 """
 
 from __future__ import annotations
@@ -173,6 +175,9 @@ def basis_rows(params: BasisParams, ys) -> np.ndarray:
 def contract(params: BasisParams, ys, values) -> np.ndarray:
     """sum_i p_i(y) * values[i] at every point, without forming the basis rows.
 
+    An (M+1) x K ``values`` gives an N x K result, one column per column of
+    values, and each point's band row is built once for all of them.
+
     The three taps of :func:`basis_rows` move onto the values:
     sum_i p_i v_i = tap_0 sum_k b_k v_k + tap_1 sum_k b_k v_{k+1}
     + tap_2 sum_k b_k v_{k+2} with b = b_{M-2}.  Points in [0, 1] sum b
@@ -181,33 +186,37 @@ def contract(params: BasisParams, ys, values) -> np.ndarray:
     part.  Past the mode b falls away from the band, so no column outside
     it holds more than the band's edge column next to it; the edges bound
     the dropped mass, and with |tap_0| + |tap_1| + |tap_2| <= 1 + |lam|
-    and the largest |value| they bound the dropped part of the sum.  A
-    point where that bound could reach the last bit of its banded sum
-    sums its whole row, as do ``unchecked`` points outside [0, 1], where
-    no tail bound holds.  Each point's sums are row sums of its own, so
-    its value is the same bit for bit whatever batch it arrives in.
-    Points are checked as in :func:`basis_rows`.
+    and the largest |value| of a column they bound the dropped part of its
+    sum.  A point where that bound could reach the last bit of its banded
+    sum sums its whole row for that column, as do ``unchecked`` points
+    outside [0, 1], where no tail bound holds.  Each point's sums are row
+    sums of its own, column by column, so its value is the same bit for
+    bit whatever batch it arrives in and whatever other columns come
+    along.  Points are checked as in :func:`basis_rows`.
     """
     arr, outside = _checked_points(params, ys)
     values = np.asarray(values, dtype=float)
-    if values.shape != (params.degree + 1,):
+    if values.ndim not in (1, 2) or len(values) != params.degree + 1:
         raise ValueError(f"need {params.degree + 1} values, one per basis index")
+    columns = np.atleast_2d(values.T)
     n = params.degree - 2
-    out = np.empty(len(arr))
     inside = ~outside
     y = arr[inside]
-    banded, tails = _tap_sums(params, y, values, *band(n, y))
-    out[inside] = banded
-    scale = (1.0 + abs(params.lam)) * np.abs(values).max()
-    whole = outside.copy()
-    whole[inside] = ~(tails * scale <= ROUNDING * np.abs(banded))
-    if whole.any():
+    banded, tails = _tap_sums(params, y, columns, *band(n, y))
+    scale = (1.0 + abs(params.lam)) * np.abs(columns).max(axis=1, keepdims=True)
+    steep = ~(tails * scale <= ROUNDING * np.abs(banded))
+    out = banded
+    if outside.any() or steep.any():
+        out = np.empty((len(columns), len(arr)))
+        out[:, inside] = banded
+        whole = np.repeat(outside[None], len(columns), axis=0)
+        whole[:, inside] = steep
+        rows = whole.any(axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            out[whole] = _tap_sums(
-                params, arr[whole], values, np.zeros(whole.sum(), np.intp), n + 1
-            )[0]
-        _reject_overflow(arr[outside], np.isfinite(out[outside]))
-    return out
+            full = _tap_sums(params, arr[rows], columns, np.zeros(rows.sum(), np.intp), n + 1)[0]
+        out[whole] = full[whole[:, rows]]
+        _reject_overflow(arr[outside], np.isfinite(out[:, outside]).all(axis=0))
+    return out[0] if values.ndim == 1 else out.T
 
 
 def _windows(values: np.ndarray, width: int) -> np.ndarray:
@@ -256,30 +265,33 @@ def _blended_rows(params: BasisParams, arr: np.ndarray) -> np.ndarray:
 
 
 def _tap_sums(
-    params: BasisParams, arr: np.ndarray, values: np.ndarray, start: np.ndarray, width: int
+    params: BasisParams, arr: np.ndarray, columns: np.ndarray, start: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Three shifted window sums per point, blended by the taps, block by block.
+    """Three shifted window sums per point and row of ``columns``, blended by the taps.
 
     Also returns each window's edge weights times the number of columns
     beyond them, which bounds the mass of b outside a :func:`band` at a
-    point in [0, 1] (and is 0 for whole rows).  Blocks of about BLOCK_CELLS
-    window cells keep every temporary small, so the next block reuses its
-    memory instead of faulting in fresh pages.
+    point in [0, 1] (and is 0 for whole rows).  Each block's rows of b serve
+    every row of ``columns``; blocks of about BLOCK_CELLS window cells keep
+    every temporary small, so the next block reuses its memory instead of
+    faulting in fresh pages.
     """
-    out, tails = np.empty(len(arr)), np.empty(len(arr))
+    out, tails = np.empty((len(columns), len(arr))), np.empty(len(arr))
     n = params.degree - 2
-    windows = _windows(values, width + 2)
+    windows = [_windows(column, width + 2) for column in columns]
     step = max(1, BLOCK_CELLS // width)
     for lo in range(0, len(arr), step):
         block = slice(lo, lo + step)
         y, first = arr[block], start[block]
         low = _bernstein_window(n, y, first, width)
-        shifted = windows[first]
-        s0, s1, s2 = (
-            np.einsum("ij,ij->i", low, shifted[:, shift : shift + width]) for shift in range(3)
-        )
         t0, t1, t2 = _taps(params.lam, y)
-        out[block] = t0 * s0 + t1 * s1 + t2 * s2
+        for sums, view in zip(out, windows):
+            shifted = view[first]
+            s0, s1, s2 = (
+                np.einsum("ij,ij->i", low, shifted[:, shift : shift + width])
+                for shift in range(3)
+            )
+            sums[block] = t0 * s0 + t1 * s1 + t2 * s2
         tails[block] = low[:, 0] * first + low[:, -1] * (n + 1 - width - first)
     return out, tails
 

@@ -129,6 +129,8 @@ def apply_bi(
         result = np.outer(k1, k2)
     else:
         integrals = _generic_window_integrals(config, g)
+        # Dense on purpose: two banded contractions, one per axis, took 1.7
+        # to 2 times as long as this product on 41 x 41 points at m = 20, 10.
         rows1 = basis_rows(config.axis1.basis, arr1)
         rows2 = basis_rows(config.axis2.basis, arr2)
         result = rows1 @ integrals @ rows2.T

@@ -5,9 +5,9 @@ The operator averages a target function over sliding windows
     K(f; y) = sum_i p_i(y) * integral_0^1 f((i + t**rho) / (m + 1)) dt
 
 with the blended basis weights p_i from :mod:`.basis`.  Its moments come
-from exact summation only (``monomial_moment`` and friends), the ground
-truth used everywhere downstream.  The published closed forms live in
-:mod:`.audit`, which sets them beside these oracle values.
+from exact summation only (exact window integrals weighted by dense basis
+rows), the ground truth used everywhere downstream.  The published closed
+forms live in :mod:`.audit`, which sets them beside these oracle values.
 """
 
 from __future__ import annotations
@@ -97,47 +97,36 @@ def apply(config: OperatorConfig, f: Callable, ys) -> np.ndarray | float:
     return out
 
 
-def monomial_kantorovich_integral(config: OperatorConfig, i: int, k: int) -> float:
-    """Exact integral_0^1 ((i + t**rho) / (m + 1))**k dt.
+def monomial_window_integrals(config: OperatorConfig, ks) -> np.ndarray:
+    """Exact integral_0^1 ((i + t**rho) / (m + 1))**k dt, a row per window i and a column per k.
 
     Expanding the binomial and integrating t**(rho*j) termwise gives
 
-        (m+1)**-k * sum_j C(k, j) * i**(k-j) / (rho*j + 1),
+        sum_j C(k, j) * (i/(m+1))**(k-j) * (m+1)**-j / (rho*j + 1),
 
-    which avoids quadrature entirely and anchors the moment oracle.
+    which avoids quadrature entirely and anchors the moment oracle.  No
+    power is taken of a number above (m+q)/(m+1), so none overflows.
     """
-    if k < 0:
+    ks = list(ks)
+    if any(k < 0 for k in ks):
         raise DomainError("monomial degree must be >= 0")
-    if i < 0 or i > config.degree:
-        raise DomainError(f"window index must lie in 0..{config.degree}")
-    scale = (config.m + 1) ** (-k)
-    terms = [
-        math.comb(k, j) * i ** (k - j) / (config.rho * j + 1.0)
-        for j in range(k + 1)
-    ]
-    return scale * math.fsum(terms)
+    x = np.arange(config.degree + 1) / (config.m + 1)
+    out = np.zeros((len(x), len(ks)))
+    for c, k in enumerate(ks):
+        for j in range(k + 1):
+            weight = math.comb(k, j) * (config.m + 1.0) ** -j / (config.rho * j + 1.0)
+            out[:, c] += weight * x ** (k - j)
+    return out
 
 
-def monomial_moment(config: OperatorConfig, u: float, k: int) -> float:
-    """K(e_k; u) through the summation path (ground truth)."""
-    weights = basis_row(config.basis, u)
-    integrals = np.array(
-        [monomial_kantorovich_integral(config, i, k) for i in range(config.degree + 1)]
-    )
-    return float((weights * integrals).sum())
+def oracle_moments(config: OperatorConfig, u: float, ks=(0, 1, 2)) -> tuple[float, ...]:
+    """K(e_k; u) for each k in ``ks``: one dense basis row times the exact window integrals.
 
-
-def oracle_moments(config: OperatorConfig, u: float) -> tuple[float, float, float]:
-    """(e0, e1, e2) through the summation path only."""
-    weights = basis_row(config.basis, u)
-    columns = np.array(
-        [
-            [monomial_kantorovich_integral(config, i, k) for i in range(config.degree + 1)]
-            for k in range(3)
-        ]
-    )
-    e0, e1, e2 = (weights * columns).sum(axis=1)
-    return float(e0), float(e1), float(e2)
+    The dense row is the reference ``verify`` and the tests hold
+    :func:`.basis.contract` against.
+    """
+    moments = basis_row(config.basis, u) @ monomial_window_integrals(config, ks)
+    return tuple(float(e) for e in moments)
 
 
 def oracle_central_moments(config: OperatorConfig, u) -> tuple:
@@ -150,7 +139,8 @@ def oracle_central_moments(config: OperatorConfig, u) -> tuple:
 
     with A = i/(m+1) - u and B = 1/(m+1), so the only rounding left is the
     weighted sum itself.  This route never touches the raw moments, which
-    is what makes the identity residual a real consistency check.
+    is what makes the identity residual a real consistency check, and why
+    these columns, which depend on u, are not expanded for a contraction.
 
     ``u`` may be an array: each point's pair comes from its own dense basis
     row and row sum, so it equals the scalar call bit for bit.  A scalar
@@ -216,9 +206,10 @@ def error_curve(config: OperatorConfig, f: Callable, grid: Grid) -> ErrorTable:
 def point_delta(config: OperatorConfig, u):
     """Concentration radius sqrt(oracle psi2(u)), a float or one per point of ``u``.
 
-    A second central moment of a positive operator cannot be negative;
-    anything below -1e-12 marks an internal inconsistency and raises, while
-    mere rounding noise is clamped to 0.
+    psi2 is the dense oracle's, whose window column depends on u.  A second
+    central moment of a positive operator cannot be negative; anything
+    below -1e-12 marks an internal inconsistency and raises, while mere
+    rounding noise is clamped to 0.
     """
     psi2 = np.atleast_1d(oracle_central_moments(config, u)[1])
     negative = psi2 < -1e-12

@@ -126,13 +126,18 @@ def test_thm72_zero_at_anchor_with_zero_radii():
 
 
 def test_moment_defect_zero_for_constant():
-    curve = moment_defect_curve(TABLE1_CFG, 0, unit_grid(101))
+    curve = moment_defect_curve(TABLE1_CFG, (0,), unit_grid(101))
     assert np.all(curve <= 1e-14)
 
 
 def test_korovkin_defects_shrink():
     defects = korovkin_defects((10, 20, 40), q=5, lam=0.5, rho=0.1, grid=unit_grid(1001))
     assert defects.shape == (3, 2)
+    # One contraction per m gives each k the maximum of its own curve.
+    for a, m in enumerate((10, 20, 40)):
+        config = OperatorConfig(m=m, q=5, lam=0.5, rho=0.1)
+        maxima = [moment_defect_curve(config, (k,), unit_grid(1001)).max() for k in (1, 2)]
+        assert np.array_equal(defects[a], maxima), m
     for col in range(2):
         assert defects[2, col] < defects[1, col] < defects[0, col]
 

@@ -204,6 +204,53 @@ def test_contract_keeps_the_tail_of_steep_values():
     assert got[0] == contract(params, [0.3], values)[0]
 
 
+def test_contract_columns_equal_single_column_calls(monkeypatch):
+    # Beside a smooth column, the steep (i/(M+1))**200 column makes points
+    # at m = 995 sum whole rows (see the test above), and only for that
+    # column; at 0.2 and 0.77 the smooth column's whole-row sum differs in
+    # its last bit from its banded one.  At m = 40, unchecked points
+    # outside [0, 1] sum whole rows for every column.  Each column must
+    # still be the one-column result bit for bit, and each point its own
+    # batch's.
+    import skl.basis as basis_module
+
+    whole_rows = []
+    tap_sums = basis_module._tap_sums
+
+    def spy(params, arr, columns, start, width):
+        if width == params.degree - 1:
+            whole_rows.append(len(columns))
+        return tap_sums(params, arr, columns, start, width)
+
+    monkeypatch.setattr(basis_module, "_tap_sums", spy)
+    cases = (
+        (BasisParams(m=2, lam=0.25), [0.0, 0.4, 1.0]),
+        (BasisParams(m=40, q=3, lam=0.6, unchecked=True), [-0.2, 0.3, 1.15, 1.0, 0.0]),
+        (BasisParams(m=995, q=5, lam=0.5), [0.0, 0.001, 0.2, 0.3, 0.5, 0.77, 0.9, 1.0]),
+    )
+    for params, ys in cases:
+        idx = np.arange(params.degree + 1)
+        V = np.column_stack([np.cos(idx / 7.0) + 2.0, (idx / (params.degree + 1.0)) ** 200])
+        got = contract(params, ys, V)
+        assert got.shape == (len(ys), 2)
+        for c in range(2):
+            assert np.array_equal(got[:, c], contract(params, ys, V[:, c])), (params.m, c)
+        for j, y in enumerate(ys):
+            assert np.array_equal(got[j], contract(params, [y], V)[0]), (params.m, y)
+        assert np.array_equal(contract(params, ys, V[:, ::-1]), got[:, ::-1])
+    # The banded degree: only the steep one-column calls took whole rows.
+    whole_rows.clear()
+    params, ys = cases[2]
+    contract(params, ys, V[:, 0])
+    assert whole_rows == []
+    contract(params, ys, V[:, 1])
+    assert whole_rows == [1]
+    with pytest.raises(ValueError, match="need 1001 values"):
+        contract(params, ys, V[1:])
+    with pytest.raises(ValueError, match="need 1001 values"):
+        contract(params, ys, V[:, :, None])
+
+
 def test_contract_at_the_smallest_degree():
     # m = 2, q = 0: b_{M-2} has degree 0, so the band is its one column.
     start, width = band(0, [0.0, 0.4, 1.0])

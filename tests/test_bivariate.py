@@ -12,7 +12,7 @@ from skl.bivariate import (
 from skl.cli import main
 from skl.errors import DomainError
 from skl.numerics import Grid
-from skl.univariate import monomial_moment, oracle_central_moments, point_delta
+from skl.univariate import oracle_central_moments, oracle_moments, point_delta
 
 #: Frozen from the exact rational reference: product moment K(s*t) at
 #: (0.4, 0.6) for m1=5, m2=7, q1=1, q2=2, lam1=1/4, lam2=3/4, rho=2,
@@ -39,9 +39,9 @@ def test_constant_target_reproduced():
 def test_frozen_product_moment_both_paths():
     generic = apply_bi(CONFIG, lambda a, b: a * b, 0.4, 0.6, force_generic=True)
     assert generic == pytest.approx(BI_E11_FROZEN, abs=1e-12)
-    factored = monomial_moment(CONFIG.axis1, 0.4, 1) * monomial_moment(
-        CONFIG.axis2, 0.6, 1
-    )
+    factored = oracle_moments(CONFIG.axis1, 0.4, (1,))[0] * oracle_moments(
+        CONFIG.axis2, 0.6, (1,)
+    )[0]
     assert factored == pytest.approx(BI_E11_FROZEN, abs=1e-14)
 
 
@@ -83,10 +83,9 @@ def test_generic_path_evaluation_count():
     M = config.axis1.degree
     assert evaluations == (M + 1) ** 2 * (8 ** 2 + 16 ** 2)
     # (y1 + y2)^3 expands into separable monomial products.
-    expanded = sum(
-        c * monomial_moment(config.axis1, y1, j) * monomial_moment(config.axis2, y2, 3 - j)
-        for j, c in enumerate((1, 3, 3, 1))
-    )
+    e1 = oracle_moments(config.axis1, y1, range(4))
+    e2 = oracle_moments(config.axis2, y2, range(4))
+    expanded = sum(c * e1[j] * e2[3 - j] for j, c in enumerate((1, 3, 3, 1)))
     assert value == pytest.approx(expanded, abs=1e-12)
 
 
@@ -110,7 +109,7 @@ def test_bi_moments_oracle_columns():
     assert oracle["e00"] == pytest.approx(1.0, abs=1e-14)
     assert oracle["e11"] == pytest.approx(BI_E11_FROZEN, abs=1e-14)
     assert oracle["e11"] == pytest.approx(oracle["e10"] * oracle["e01"], abs=1e-15)
-    assert oracle["e20"] == pytest.approx(monomial_moment(CONFIG.axis1, 0.4, 2), abs=1e-15)
+    assert oracle["e20"] == pytest.approx(oracle_moments(CONFIG.axis1, 0.4)[2], abs=1e-15)
     # Transcribed identities genuinely diverge from the operator.
     assert max(abs(closed - value) for closed, value in raw.values()) > 1e-3
 

@@ -138,6 +138,10 @@ def test_handlers_check_their_values(capsys):
     cases = [
         (["figure", "7"], "error: figure id must be 1, 2 or 3"),
         (["bounds", "--m", "10", "--thm", "99"], "error: --thm must be one of 33, 41, 71, 72"),
+        (
+            ["bounds", "--thm", "72", "--m", "30", "--y1", "0.3", "--y2", "0.6"],
+            "error: --thm 72 needs --E",
+        ),
         (["eval", "--m", "10", "--u", "0.5", "--format", "png"], "error: unknown format 'png'"),
         (["verify", "turbo"], "error: verify level must be 'fast' or 'full'"),
     ]

@@ -25,8 +25,7 @@ from skl.univariate import (
     apply,
     error_curve,
     identity_residual,
-    monomial_kantorovich_integral,
-    monomial_moment,
+    monomial_window_integrals,
     oracle_central_moments,
     oracle_moments,
     point_delta,
@@ -113,10 +112,9 @@ def test_window_integrals_of_polynomials_are_exact(coefficients, m, q, rho):
     text = " + ".join(f"{c!r}*y^{k}" for k, c in enumerate(coefficients))
     cfg = OperatorConfig(m=m, q=q, rho=rho)
     values = window_integrals(cfg, resolve_function(text))
+    table = monomial_window_integrals(cfg, range(len(coefficients)))
     for i, value in enumerate(values):
-        exact = math.fsum(
-            c * monomial_kantorovich_integral(cfg, i, k) for k, c in enumerate(coefficients)
-        )
+        exact = math.fsum(c * table[i, k] for k, c in enumerate(coefficients))
         assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact)), (i, text)
 
 
@@ -136,14 +134,12 @@ def test_smooth_targets_build_only_the_first_two_rules():
 
 def test_frozen_monomial_integral():
     cfg = OperatorConfig(m=10, q=0, rho=0.5)
-    assert monomial_kantorovich_integral(cfg, 3, 2) == pytest.approx(
-        INTEGRAL_10_RHO_HALF_3_2, abs=1e-16
-    )
-    assert monomial_kantorovich_integral(cfg, 3, 0) == 1.0
+    table = monomial_window_integrals(cfg, (2, 0))
+    assert table.shape == (11, 2)
+    assert table[3, 0] == pytest.approx(INTEGRAL_10_RHO_HALF_3_2, abs=1e-16)
+    assert np.all(table[:, 1] == 1.0)
     with pytest.raises(DomainError):
-        monomial_kantorovich_integral(cfg, 11, 2)
-    with pytest.raises(DomainError):
-        monomial_kantorovich_integral(cfg, 0, -1)
+        monomial_window_integrals(cfg, (2, -1))
 
 
 def test_monomial_integral_matches_rational_reference(rng):
@@ -154,9 +150,19 @@ def test_monomial_integral_matches_rational_reference(rng):
         rho = Fraction(int(rng.integers(1, 30)), 10)
         cfg = OperatorConfig(m=m, rho=float(rho))
         expected = float(exact_window_integral(m, rho, i, k))
-        assert monomial_kantorovich_integral(cfg, i, k) == pytest.approx(
-            expected, rel=1e-14
-        )
+        assert monomial_window_integrals(cfg, (k,))[i, 0] == pytest.approx(expected, rel=1e-14)
+
+
+def test_monomial_table_matches_rational_reference_at_high_degree():
+    # Every window at m = 1000 and every k <= 4; the terms are positive,
+    # so each entry stays within a few ulps of the exact value.
+    m, q, rho = 1000, 3, Fraction(1, 10)
+    cfg = OperatorConfig(m=m, q=q, rho=float(rho))
+    table = monomial_window_integrals(cfg, range(5))
+    expected = [
+        [float(exact_window_integral(m, rho, i, k)) for k in range(5)] for i in range(m + q + 1)
+    ]
+    assert table == pytest.approx(np.array(expected), rel=1e-14, abs=0.0)
 
 
 def test_frozen_oracle_moments():
@@ -178,7 +184,7 @@ def test_oracle_moments_match_rational_reference(rng):
         cfg = OperatorConfig(m=m, q=q, lam=float(lam), rho=float(rho))
         for k in range(3):
             expected = float(exact_moment(m, q, lam, rho, u, k))
-            assert monomial_moment(cfg, float(u), k) == pytest.approx(
+            assert oracle_moments(cfg, float(u), (k,))[0] == pytest.approx(
                 expected, abs=2e-13
             ), (m, q, lam, rho, u, k)
 
@@ -197,7 +203,7 @@ def test_quadrature_agrees_with_summation(rng):
             u = float(rng.uniform())
             k = int(rng.integers(0, 5))
             quad = apply(cfg, lambda y, _k=k: y ** _k, u)
-            assert abs(quad - monomial_moment(cfg, u, k)) < tol
+            assert abs(quad - oracle_moments(cfg, u, (k,))[0]) < tol
 
 
 def test_frozen_operator_value_and_error():
