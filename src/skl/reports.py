@@ -64,7 +64,7 @@ from .reference import (
     TABLE1_RHO,
     TABLE1_XS,
 )
-from .svg import render_heatmap, render_line_chart, write_svg
+from .svg import format_rows, render_heatmap, render_line_chart, write_svg
 from .univariate import (
     OperatorConfig,
     apply,
@@ -97,13 +97,16 @@ def _sig(value: float) -> str:
     return CSV_FLOAT_FORMAT % value
 
 
+def _csv_text(header: str, columns) -> str:
+    """The header, then one row per index of the equal-length ``columns``."""
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("CSV columns must have equal length")
+    row = ",".join([CSV_FLOAT_FORMAT] * len(columns)) + "\n"
+    return header + "\n" + format_rows(row, columns, sep="")
+
+
 def _write_csv(path: Path, header: str, columns) -> None:
-    """One row per index of the equal-length ``columns``."""
-    lines = [header]
-    for row in zip(*columns):
-        lines.append(",".join(CSV_FLOAT_FORMAT % v for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path.write_text(_csv_text(header, columns), newline="\n")
 
 
 def _write_surface_csv(path: Path, table: SurfaceTable) -> None:
@@ -294,20 +297,16 @@ def cmd_figure(which: int, out=None, fmt: str = "both", m_list: tuple[int, ...] 
             for m in ladder
         ]
         if which == 1:
-            header = "x,f," + ",".join(f"K_n{m}" for m in ladder)
+            names = ["f"] + [f"K_n{m}" for m in ladder]
             columns = [exact] + curves
-            series = [("f", exact)] + [
-                (f"K_n{m}", curve) for m, curve in zip(ladder, curves)
-            ]
             title = "Operator approximation of the cubic target"
         else:
-            header = "x," + ",".join(f"E_n{m}" for m in ladder)
+            names = [f"E_n{m}" for m in ladder]
             columns = [np.abs(curve - exact) for curve in curves]
-            series = [(f"E_n{m}", col) for m, col in zip(ladder, columns)]
             title = "Absolute approximation error along the m ladder"
         if want_csv:
             path = base.with_suffix(".csv")
-            _write_csv(path, header, [grid.points, *columns])
+            _write_csv(path, ",".join(["x", *names]), [grid.points, *columns])
             written.append(path)
         if want_svg:
             path = base.with_suffix(".svg")
@@ -315,7 +314,7 @@ def cmd_figure(which: int, out=None, fmt: str = "both", m_list: tuple[int, ...] 
                 path,
                 render_line_chart(
                     grid.points,
-                    series,
+                    list(zip(names, columns)),
                     title=title,
                     x_label="x",
                     y_label="value" if which == 1 else "absolute error",
@@ -325,24 +324,22 @@ def cmd_figure(which: int, out=None, fmt: str = "both", m_list: tuple[int, ...] 
     else:
         g = resolve_function(FIGURE3_FUNCTION, arity=2)
         grid = unit_grid(FIGURE3_GRID_POINTS)
-        last_errors = None
         for m in FIGURE3_MS:
             config = BivariateConfig(
                 m1=m, m2=m, q1=FIGURE3_Q, q2=FIGURE3_Q,
                 lam1=FIGURE3_LAM, lam2=FIGURE3_LAM, rho=FIGURE3_RHO,
             )
             table = surface_table(config, g, grid, grid)
-            last_errors = table.errors
             if want_csv:
                 path = base.parent / f"{base.name}_m{m}.csv"
                 _write_surface_csv(path, table)
                 written.append(path)
-        if want_svg and last_errors is not None:
+        if want_svg:
             path = base.with_suffix(".svg")
             write_svg(
                 path,
                 render_heatmap(
-                    last_errors,
+                    table.errors,
                     title=f"Tensor operator error at m={FIGURE3_MS[-1]}",
                 ),
             )
@@ -371,9 +368,7 @@ def cmd_eval(config: RunConfig):
         _write_csv(path, "x,K", [grid.points, values])
         print(f"wrote {path}")
     else:
-        print("x,K")
-        for x, v in zip(grid.points, values):
-            print(f"{_sig(x)},{_sig(v)}")
+        print(_csv_text("x,K", [grid.points, values]), end="")
     return values
 
 

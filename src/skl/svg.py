@@ -1,7 +1,9 @@
 """Dependency-free SVG rendering for the report commands.
 
-Charts are plain strings assembled deterministically, so repeated runs with
-identical inputs produce byte-identical files.
+Charts are formatted from numpy arrays, one ``%`` template per item: the
+ticks, polyline points, heatmap cells and color-bar steps of a run are
+filled by one ``%`` per block of rows over a flat argument tuple.  Repeated
+runs with identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -54,18 +56,34 @@ def _escape(text: str) -> str:
     )
 
 
-def _heat_color(t: float) -> str:
-    """Interpolated ramp color for t in [0, 1]."""
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(HEAT_STOPS) - 1)
-    idx = min(int(pos), len(HEAT_STOPS) - 2)
-    frac = pos - idx
-    r0, g0, b0 = HEAT_STOPS[idx]
-    r1, g1, b1 = HEAT_STOPS[idx + 1]
-    r = round(255 * (r0 + (r1 - r0) * frac))
-    g = round(255 * (g0 + (g1 - g0) * frac))
-    b = round(255 * (b0 + (b1 - b0) * frac))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _heat_rgb(t: np.ndarray) -> np.ndarray:
+    """Ramp colors for t clipped to [0, 1] as 0xRRGGBB ints (one ``%06x``
+    argument each); a channel is round-half-even of 255 * (c0 + (c1 - c0) * frac)."""
+    if np.isnan(t).any():
+        raise ValueError("heat ramp position is NaN")
+    pos = np.clip(t, 0.0, 1.0) * (len(HEAT_STOPS) - 1)
+    idx = np.minimum(pos.astype(int), len(HEAT_STOPS) - 2)
+    frac = (pos - idx)[..., None]
+    lo, hi = np.array(HEAT_STOPS)[idx], np.array(HEAT_STOPS)[idx + 1]
+    return np.round(255 * (lo + (hi - lo) * frac)).astype(int) @ np.array([1 << 16, 1 << 8, 1])
+
+
+def _to_px(values: np.ndarray, lo: float, hi: float, start: float, length: float) -> np.ndarray:
+    """Pixels of ``values`` on an axis mapping [lo, hi] onto start + [0, length]."""
+    return start + (values - lo) / (hi - lo) * length
+
+
+def format_rows(template: str, columns, sep: str = "\n") -> str:
+    """``template`` once per index of the equal-length ``columns``, joined by
+    ``sep``; one ``%`` fills each block of rows from the columns in turn."""
+    parts = []
+    blocks = len(columns[0]) // 512 + 1  # small blocks: less memory, and faster
+    for block in zip(*[np.array_split(np.asarray(column), blocks) for column in columns]):
+        args = [0] * (len(block) * len(block[0]))
+        for k, column in enumerate(block):
+            args[k :: len(block)] = column.tolist()
+        parts.append(sep.join([template] * len(block[0])) % tuple(args))
+    return sep.join(parts)
 
 
 def _header(title: str) -> list[str]:
@@ -79,14 +97,15 @@ def _header(title: str) -> list[str]:
     ]
 
 
-def _x_tick(x: float, value: float) -> list[str]:
-    """A tick under the plot box at pixel ``x`` and its label."""
-    return [
-        f'<line x1="{x:.2f}" y1="{PLOT_BOTTOM}" x2="{x:.2f}" y2="{PLOT_BOTTOM + 6}" '
-        'stroke="#000000" stroke-width="1"/>',
-        f'<text x="{x:.2f}" y="{PLOT_BOTTOM + 24}" text-anchor="middle" font-size="12" '
-        f'font-family="Arial">{value:.2g}</text>',
-    ]
+def _x_tick(x: np.ndarray, value: np.ndarray) -> tuple[str, list]:
+    """Template and columns of ticks under the plot box at pixels ``x``."""
+    return (
+        f'<line x1="%.2f" y1="{PLOT_BOTTOM}" x2="%.2f" y2="{PLOT_BOTTOM + 6}" '
+        'stroke="#000000" stroke-width="1"/>\n'
+        f'<text x="%.2f" y="{PLOT_BOTTOM + 24}" text-anchor="middle" font-size="12" '
+        'font-family="Arial">%.2g</text>',
+        [x, x, x, value],
+    )
 
 
 def _axis_labels(x_label: str, y_label: str) -> list[str]:
@@ -114,35 +133,34 @@ def render_line_chart(
         raise ValueError("need at least two abscissa points")
     if not series:
         raise ValueError("no series to plot")
+    if not np.isfinite(xs).all():
+        raise ValueError("abscissa has non-finite values")
+    for label, ys in series:
+        if np.shape(ys) != xs.shape:
+            raise ValueError(f"series {label!r} length does not match the abscissa")
+        if not np.isfinite(ys).all():
+            raise ValueError(f"series {label!r} has non-finite values")
 
-    all_values = np.concatenate([np.asarray(ys, dtype=float) for _, ys in series])
-    y_min = min(0.0, float(all_values.min()))
-    y_max = float(all_values.max())
+    curves = np.array([ys for _, ys in series], dtype=float)
+    y_min = min(0.0, float(curves.min()))
+    y_max = float(curves.max())
     if y_max <= y_min:
         y_max = y_min + 1.0
     y_max += 0.05 * (y_max - y_min)
     x_min, x_max = float(xs[0]), float(xs[-1])
 
-    def x_to_px(x: float) -> float:
-        return PLOT_LEFT + (x - x_min) / (x_max - x_min) * PLOT_WIDTH
-
-    def y_to_px(y: float) -> float:
-        return PLOT_BOTTOM - (y - y_min) / (y_max - y_min) * PLOT_HEIGHT
-
     lines = _header(title)
 
     # Horizontal grid with 6 labeled levels.
-    for i in range(7):
-        value = y_min + (y_max - y_min) * i / 6
-        y = y_to_px(value)
-        lines.append(
-            f'<line x1="{PLOT_LEFT}" y1="{y:.2f}" x2="{PLOT_RIGHT}" y2="{y:.2f}" '
-            'stroke="#d9d9d9" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{PLOT_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
-            f'font-family="Arial">{value:.3g}</text>'
-        )
+    levels = y_min + (y_max - y_min) * np.arange(7) / 6
+    y = _to_px(levels, y_min, y_max, PLOT_BOTTOM, -PLOT_HEIGHT)
+    level = (
+        f'<line x1="{PLOT_LEFT}" y1="%.2f" x2="{PLOT_RIGHT}" y2="%.2f" '
+        'stroke="#d9d9d9" stroke-width="1"/>\n'
+        f'<text x="{PLOT_LEFT - 8}" y="%.2f" text-anchor="end" font-size="12" '
+        'font-family="Arial">%.3g</text>'
+    )
+    lines.append(format_rows(level, [y, y, y + 4, levels]))
 
     lines.append(
         f'<line x1="{PLOT_LEFT}" y1="{PLOT_BOTTOM}" x2="{PLOT_RIGHT}" y2="{PLOT_BOTTOM}" '
@@ -154,21 +172,17 @@ def render_line_chart(
     )
 
     # Decile ticks along x.
-    for i in range(11):
-        value = x_min + (x_max - x_min) * i / 10
-        lines.extend(_x_tick(x_to_px(value), value))
+    ticks = x_min + (x_max - x_min) * np.arange(11) / 10
+    lines.append(format_rows(*_x_tick(_to_px(ticks, x_min, x_max, PLOT_LEFT, PLOT_WIDTH), ticks)))
     lines.extend(_axis_labels(x_label, y_label))
 
     legend_x = PLOT_RIGHT + 16
     legend_y = PLOT_TOP + 16
-    for idx, (label, ys) in enumerate(series):
-        ys = np.asarray(ys, dtype=float)
-        if ys.shape != xs.shape:
-            raise ValueError(f"series {label!r} length does not match the abscissa")
+    x_px = _to_px(xs, x_min, x_max, PLOT_LEFT, PLOT_WIDTH)
+    y_px = _to_px(curves, y_min, y_max, PLOT_BOTTOM, -PLOT_HEIGHT)
+    for idx, ((label, _), y) in enumerate(zip(series, y_px)):
         color = COLORS[idx % len(COLORS)]
-        points = " ".join(
-            f"{x_to_px(float(x)):.2f},{y_to_px(float(y)):.2f}" for x, y in zip(xs, ys)
-        )
+        points = format_rows("%.2f,%.2f", [x_px, y], sep=" ")
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
         )
@@ -204,6 +218,8 @@ def render_heatmap(
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("heatmap needs a nonempty 2-d array")
+    if not np.isfinite(values).all():
+        raise ValueError("heatmap values are not finite")
     n1, n2 = values.shape
     v_min = float(values.min())
     v_max = float(values.max())
@@ -211,33 +227,26 @@ def render_heatmap(
 
     lines = _header(title)
 
+    # Cell (i, j) sits at x[i], y[j]; row j = 0 sits at the bottom edge.
     cell_w = PLOT_WIDTH / n1
     cell_h = PLOT_HEIGHT / n2
-    for i in range(n1):
-        x = PLOT_LEFT + i * cell_w
-        for j in range(n2):
-            # Row j = 0 sits at the bottom edge.
-            y = PLOT_BOTTOM - (j + 1) * cell_h
-            color = _heat_color((values[i, j] - v_min) / spread)
-            lines.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w + 0.5:.2f}" '
-                f'height="{cell_h + 0.5:.2f}" fill="{color}"/>'
-            )
+    x = np.repeat(PLOT_LEFT + np.arange(n1) * cell_w, n2)
+    y = np.tile(PLOT_BOTTOM - (np.arange(n2) + 1) * cell_h, n1)
+    size = f'width="{cell_w + 0.5:.2f}" height="{cell_h + 0.5:.2f}"'
+    cell = f'<rect x="%.2f" y="%.2f" {size} fill="#%06x"/>'
+    lines.append(format_rows(cell, [x, y, _heat_rgb((values - v_min) / spread).ravel()]))
 
-    # Decile ticks on both axes.
-    for i in range(11):
-        frac = i / 10
-        lines.extend(_x_tick(PLOT_LEFT + frac * PLOT_WIDTH, lo1 + (hi1 - lo1) * frac))
-        y = PLOT_BOTTOM - frac * PLOT_HEIGHT
-        value2 = lo2 + (hi2 - lo2) * frac
-        lines.append(
-            f'<line x1="{PLOT_LEFT - 6}" y1="{y:.2f}" x2="{PLOT_LEFT}" y2="{y:.2f}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{PLOT_LEFT - 10}" y="{y + 4:.2f}" text-anchor="end" font-size="12" '
-            f'font-family="Arial">{value2:.2g}</text>'
-        )
+    # Decile ticks on both axes, each x tick followed by its y tick.
+    frac = np.arange(11) / 10
+    x_tick, columns = _x_tick(PLOT_LEFT + frac * PLOT_WIDTH, lo1 + (hi1 - lo1) * frac)
+    y = PLOT_BOTTOM - frac * PLOT_HEIGHT
+    y_tick = (
+        f'\n<line x1="{PLOT_LEFT - 6}" y1="%.2f" x2="{PLOT_LEFT}" y2="%.2f" '
+        'stroke="#000000" stroke-width="1"/>\n'
+        f'<text x="{PLOT_LEFT - 10}" y="%.2f" text-anchor="end" font-size="12" '
+        'font-family="Arial">%.2g</text>'
+    )
+    lines.append(format_rows(x_tick + y_tick, columns + [y, y, y + 4, lo2 + (hi2 - lo2) * frac]))
     lines.extend(_axis_labels(x_label, y_label))
 
     # Color bar with min/max labels.
@@ -245,13 +254,9 @@ def render_heatmap(
     bar_w = 22
     steps = 40
     step_h = PLOT_HEIGHT / steps
-    for s in range(steps):
-        t = 1.0 - s / (steps - 1)
-        y = PLOT_TOP + s * step_h
-        lines.append(
-            f'<rect x="{bar_x}" y="{y:.2f}" width="{bar_w}" height="{step_h + 0.5:.2f}" '
-            f'fill="{_heat_color(t)}"/>'
-        )
+    s = np.arange(steps)
+    step = f'<rect x="{bar_x}" y="%.2f" width="{bar_w}" height="{step_h + 0.5:.2f}" fill="#%06x"/>'
+    lines.append(format_rows(step, [PLOT_TOP + s * step_h, _heat_rgb(1.0 - s / (steps - 1))]))
     lines.append(
         f'<text x="{bar_x + bar_w + 6}" y="{PLOT_TOP + 10:.2f}" text-anchor="start" '
         f'font-size="12" font-family="Arial">{v_max:.3g}</text>'

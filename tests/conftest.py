@@ -91,3 +91,13 @@ def exact_moment(
         exact_weight(m, q, lam, i, u) * exact_window_integral(m, rho, i, k)
         for i in range(m + q + 1)
     )
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail with the first differing character of two texts.  pytest's own
+    diff of texts as long as a rendered figure takes minutes."""
+    if got != want:
+        pairs = enumerate(zip(got, want))
+        at = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"texts differ at char {at}: {got[lo:at + 40]!r} != {want[lo:at + 40]!r}")

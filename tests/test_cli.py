@@ -212,6 +212,17 @@ def test_main_eval_csv(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_main_eval_grid_stdout_matches_csv_file(tmp_path, capsys):
+    argv = ["eval", "--m", "20", "--q", "2", "--lambda", "0.5", "--grid", "0:1:41"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "grid.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert printed == out.read_text()
+    assert printed.count("\n") == 42
+
+
 def test_main_moments_fixed_point(capsys):
     code = main(
         ["moments", "--m", "10", "--q", "0", "--lambda", "0.5", "--rho", "1",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_same_text
 
 from skl.errors import UsageError
 from skl.reference import (
@@ -8,12 +9,14 @@ from skl.reference import (
     TABLE1_XS,
 )
 from skl.reports import (
+    CSV_FLOAT_FORMAT,
     CheckResult,
     RunConfig,
     VerifyResult,
     cmd_figure,
     cmd_table1,
     cmd_verify,
+    _write_csv,
     run_audit,
     table1_errors,
 )
@@ -161,3 +164,36 @@ def test_run_config_validation():
         RunConfig(command="eval").operator()
     bi = RunConfig(command="bivariate", m=8, q=1).bivariate()
     assert (bi.m1, bi.m2, bi.q1, bi.q2) == (8, 8, 1, 1)
+
+
+def _ref_csv(header, columns):
+    """The per-row, per-value CSV join the array formatter replaced."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(CSV_FLOAT_FORMAT % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [np.array([-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 0.1, 1 / 3, 2.5e15]),
+         np.array([0, 1, -7, 2**40, 10**15, 123456789012345, 3, 4, 5])],
+        [np.array([np.inf, -np.inf, np.nan]), np.arange(3.0)],
+        [np.arange(0.0), np.arange(0)],
+        # Many 512-row formatting blocks.
+        list(np.random.default_rng(3).normal(size=(5, 9000)) * 1e4 ** np.arange(-2, 3)[:, None]),
+    ],
+)
+def test_write_csv_matches_scalar_join(tmp_path, columns):
+    header = ",".join(f"c{k}" for k in range(len(columns)))
+    path = tmp_path / "t.csv"
+    _write_csv(path, header, columns)
+    assert_same_text(path.read_bytes().decode(), _ref_csv(header, columns))
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match="CSV columns must have equal length"):
+        _write_csv(path, "a,b", [np.arange(5.0), np.arange(3.0)])
+    assert not path.exists()
