@@ -18,13 +18,7 @@ import numpy as np
 from .basis import contract
 from .bivariate import BivariateConfig, window_deltas
 from .errors import DomainError
-from .modulus import (
-    DEFAULT_SURFACE_POINTS,
-    ModulusScan,
-    SurfaceModulus,
-    modulus_scan,
-    surface_modulus,
-)
+from .modulus import ModulusScan, SurfaceModulus, modulus_scan, surface_modulus
 from .numerics import DEFAULT_SUP_GRID_POINTS, Grid, unit_grid
 from .univariate import (
     OperatorConfig,
@@ -109,7 +103,6 @@ def bound_thm71(
     y1: float,
     y2: float,
     samples: SurfaceModulus | None = None,
-    count: int = DEFAULT_SURFACE_POINTS,
 ) -> tuple[float, float, float]:
     """Partial-moduli bound: (2 * (omega_1(g; d1) + omega_2(g; d2)), d1, d2).
 
@@ -117,12 +110,7 @@ def bound_thm71(
     lets callers reuse one sampled surface across a whole grid of points.
     """
     if samples is None:
-        samples = surface_modulus(
-            g,
-            hi1=config.axis1.sample_hi,
-            hi2=config.axis2.sample_hi,
-            count=count,
-        )
+        samples = surface_modulus(g, hi1=config.axis1.sample_hi, hi2=config.axis2.sample_hi)
     d1, d2 = window_deltas(config, y1, y2)
     return 2.0 * (samples.omega1(d1) + samples.omega2(d2)), d1, d2
 

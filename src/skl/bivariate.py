@@ -2,9 +2,10 @@
 
 The two-variable operator is the tensor product of two univariate instances
 sharing one node exponent rho.  Separable targets factor into two univariate
-applications; generic targets go through full tensor quadrature, chunked per
-window row to bound memory.  Its moments are the per-axis oracle moments;
-the published bivariate closed forms live in :mod:`.audit`.
+applications; generic targets go through full tensor quadrature, where each
+window pair climbs the quadrature ladder on its own and blocks of pairs
+bound memory.  Its moments are the per-axis oracle moments; the published
+bivariate closed forms live in :mod:`.audit`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import basis_rows
-from .numerics import Grid, _window_estimate, evaluate_on
+from .numerics import BLOCK_CELLS, Grid, _window_estimate, evaluate_on
 from .univariate import OperatorConfig, apply, point_delta
 
 
@@ -73,39 +74,35 @@ def _as_points(ys) -> tuple[np.ndarray, bool]:
 def _generic_window_integrals(config: BivariateConfig, g: Callable) -> np.ndarray:
     """Double integrals of g over every window pair, shape (M1+1, M2+1).
 
-    The Gauss-Jacobi ladder in x = t**rho on both axes: a first-axis window
-    stops at the first pair of rules that agree on all its pairs, and one
-    the 32/64 pair still rejects is redone with the composite fallback rule
-    (see :func:`.numerics._window_estimate`).
-    """
-    return _window_estimate(
-        lambda nodes, weights, rows: _pair_integrals(config, g, nodes, weights, rows),
-        config.rho,
-        config.axis1.degree + 1,
-    )
-
-
-def _pair_integrals(
-    config: BivariateConfig, g: Callable, nodes: np.ndarray, weights: np.ndarray, rows
-) -> np.ndarray:
-    """One rule on both axes for the window pairs (i1, 0..M2) of each i1 in rows.
-
-    Evaluation is chunked along the first window index: each chunk touches
-    n x ((M2+1) * n) points for an n-node rule, which caps memory for large
-    degree pairs.  A row's value depends only on its own chunk, so it is
-    the same whichever rows share the call.
+    Entry e is the pair (i1, i2) = divmod(e, M2+1).  The Gauss-Jacobi
+    ladder in x = t**rho on both axes stops each pair at the first pair of
+    rules that agree on it, and a pair the 32/64 rules still reject is
+    redone with the composite fallback rule (see
+    :func:`.numerics._window_estimate`).  One rule evaluates g on the
+    n x n nodes of a block of pairs at a time, at most BLOCK_CELLS cells
+    and at least one pair per block.  Each pair is contracted by its own
+    matrix products, first axis then second: one product shared by the
+    block would reduce a pair differently depending on its place, and a
+    pair's value must not depend on which pairs share its block or rule.
     """
     c1, c2 = config.axis1, config.axis2
-    M2 = c2.degree
-    n = len(nodes)
-    flat2 = ((np.arange(M2 + 1, dtype=float)[:, None] + nodes[None, :]) / (c2.m + 1)).ravel()
-    out = np.empty((len(rows), M2 + 1))
-    for r, i1 in enumerate(rows):
-        pts1 = (i1 + nodes) / (c1.m + 1)
-        values = evaluate_on(g, pts1[:, None], flat2[None, :])
-        # Contract the first axis, then the second inside each window.
-        out[r] = (weights @ values).reshape(M2 + 1, n) @ weights
-    return out
+    width = c2.degree + 1
+
+    def integrate(nodes, weights, entries):
+        n = len(nodes)
+        i1, i2 = np.divmod(entries, width)
+        pts1 = ((i1[:, None] + nodes) / (c1.m + 1))[:, :, None]
+        pts2 = ((i2[:, None] + nodes) / (c2.m + 1))[:, None, :]
+        block = max(1, BLOCK_CELLS // (n * n))
+        out = np.empty(len(entries))
+        for s in range(0, len(entries), block):
+            values = evaluate_on(g, pts1[s : s + block], pts2[s : s + block])
+            inner = weights @ values
+            out[s : s + block] = (inner[:, None, :] @ weights)[:, 0]
+        return out
+
+    count = (c1.degree + 1) * width
+    return _window_estimate(integrate, config.rho, count).reshape(-1, width)
 
 
 def apply_bi(

@@ -122,32 +122,31 @@ def _window_estimate(
     rho: float,
     count: int,
 ) -> np.ndarray:
-    """Integrals of f(t**rho) over t in [0, 1] for ``count`` windows.
+    """Integrals of f(t**rho) over t in [0, 1] for ``count`` entries.
 
     With x = t**rho the integral is a Jacobi-weighted one with
-    beta = 1/rho - 1.  ``integrate(nodes, weights, rows)`` applies one rule
-    in x to the windows whose indices are in ``rows`` and returns their
-    values, first axis along ``rows``.  The rules of JACOBI_ORDERS are tried
-    in consecutive pairs: a window keeps the larger rule's value at the
-    first pair whose gap is within JACOBI_TOLERANCE * max(1, |value|) for
-    every entry of its row, and only the windows still rejected go on to
-    the next rule, which is built only then.  Windows that the last pair
-    rejects take ``_fallback_window_rule``.  A window's value depends only
-    on its own row, never on which other windows climbed.
+    beta = 1/rho - 1.  ``integrate(nodes, weights, entries)`` applies one
+    rule in x to the entries whose indices are in ``entries`` and returns
+    one value per entry.  The rules of JACOBI_ORDERS are tried in
+    consecutive pairs: an entry keeps the larger rule's value at the first
+    pair whose gap is within JACOBI_TOLERANCE * max(1, |value|), and only
+    the entries still rejected go on to the next rule, which is built only
+    then.  Entries that the last pair rejects take ``_fallback_window_rule``.
+    An entry's value depends only on itself, never on which other entries
+    climbed.
     """
     beta = 1.0 / rho - 1.0
-    rows = np.arange(count)
-    previous = integrate(*jacobi_rule(JACOBI_ORDERS[0], beta), rows)
-    integrals = np.empty_like(previous)
+    entries = np.arange(count)
+    previous = integrate(*jacobi_rule(JACOBI_ORDERS[0], beta), entries)
+    integrals = np.empty(count)
     for n in JACOBI_ORDERS[1:]:
-        current = integrate(*jacobi_rule(n, beta), rows)
-        gap = np.abs(previous - current) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(current))
-        rejected = gap.reshape(len(rows), -1).any(axis=1)
-        integrals[rows[~rejected]] = current[~rejected]
-        rows, previous = rows[rejected], current[rejected]
-        if not rows.size:
+        current = integrate(*jacobi_rule(n, beta), entries)
+        rejected = np.abs(previous - current) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(current))
+        integrals[entries[~rejected]] = current[~rejected]
+        entries, previous = entries[rejected], current[rejected]
+        if not entries.size:
             return integrals
-    integrals[rows] = integrate(*_fallback_window_rule(rho), rows)
+    integrals[entries] = integrate(*_fallback_window_rule(rho), entries)
     return integrals
 
 

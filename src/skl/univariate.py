@@ -75,10 +75,10 @@ def window_integrals(config: OperatorConfig, f: Callable) -> np.ndarray:
     count = config.degree + 1
     idx = np.arange(count, dtype=float)
 
-    def integrate(nodes, weights, rows):
+    def integrate(nodes, weights, entries):
         values = np.zeros((count, len(nodes)))
-        values[rows] = evaluate_on(f, (idx[rows, None] + nodes[None, :]) / (config.m + 1))
-        return (values @ weights)[rows]
+        values[entries] = evaluate_on(f, (idx[entries, None] + nodes[None, :]) / (config.m + 1))
+        return (values @ weights)[entries]
 
     return _window_estimate(integrate, config.rho, count)
 

@@ -23,7 +23,7 @@ from skl.bivariate import (
 )
 from skl.functions import resolve_function
 from skl.modulus import surface_modulus
-from skl.numerics import unit_grid
+from skl.numerics import DEFAULT_SUP_GRID_POINTS, unit_grid
 from skl.reference import (
     FIGURE3_GRID_POINTS,
     FIGURE3_LAM,
@@ -174,10 +174,12 @@ def test_criterion_6_bound_soundness():
     # Univariate: the demo table configuration on a 101-point grid.
     f = resolve_function("table1-poly")
     grid = unit_grid(101)
-    pad_uni = 6.0 * grid.step  # |f'| <= 6 on [0, 1]
     min_margin_uni = math.inf
     for m in TABLE1_MS:
         config = OperatorConfig(m=m, q=TABLE1_Q, lam=TABLE1_LAM, rho=TABLE1_RHO)
+        # The scanned modulus falls short of the true one by at most
+        # |f'| * scan step, and |f'| <= 6 on the sampling window.
+        pad_uni = 6.0 * config.sample_hi / (DEFAULT_SUP_GRID_POINTS - 1)
         table = error_curve(config, f, grid)
         min_margin_uni = min(
             min_margin_uni, float((table.bounds + pad_uni - table.errors).min())

@@ -5,13 +5,23 @@ from skl.audit import bi_moment_rows
 from skl.bivariate import (
     BivariateConfig,
     SeparableFunction,
+    _generic_window_integrals,
     apply_bi,
     surface_table,
     window_deltas,
 )
 from skl.cli import main
 from skl.errors import DomainError
-from skl.numerics import Grid
+from skl.functions import resolve_function
+from skl.numerics import (
+    JACOBI_ORDERS,
+    JACOBI_TOLERANCE,
+    SINGULAR_ORIGIN_LEVELS,
+    Grid,
+    composite_nodes,
+    evaluate_on,
+    jacobi_rule,
+)
 from skl.univariate import oracle_central_moments, oracle_moments, point_delta
 
 #: Frozen from the exact rational reference: product moment K(s*t) at
@@ -87,6 +97,52 @@ def test_generic_path_evaluation_count():
     e2 = oracle_moments(config.axis2, y2, range(4))
     expanded = sum(c * e1[j] * e2[3 - j] for j, c in enumerate((1, 3, 3, 1)))
     assert value == pytest.approx(expanded, abs=1e-12)
+
+
+def test_generic_ladder_stops_each_pair_on_its_own():
+    # A kink along y1 = y2 defeats every Gauss-Jacobi pair only on the
+    # window pairs it crosses.  Replayed one pair at a time from each
+    # rule's values, every pair keeps the larger rule of its first agreeing
+    # pair (or the composite value) bit for bit, whatever other pairs
+    # shared its block, and only the pairs still climbing pay for a rule.
+    rho = 0.5
+    config = BivariateConfig(m1=6, m2=6, rho=rho)
+    kink = resolve_function("((y1-y2)^2)^0.5", arity=2)
+    evaluations = 0
+
+    def counted(a, b):
+        nonlocal evaluations
+        evaluations += np.broadcast(a, b).size
+        return kink(a, b)
+
+    integrals = _generic_window_integrals(config, counted)
+    idx = np.arange(config.axis1.degree + 1)
+
+    def rule_values(nodes, weights):
+        out = np.empty((len(idx), len(idx)))
+        for i1 in idx:
+            for i2 in idx:
+                pts1 = (i1 + nodes) / (config.m1 + 1)
+                pts2 = (i2 + nodes) / (config.m2 + 1)
+                out[i1, i2] = weights @ evaluate_on(kink, pts1[:, None], pts2[None, :]) @ weights
+        return out
+
+    t, w = composite_nodes(origin_levels=SINGULAR_ORIGIN_LEVELS)
+    expected = rule_values(t ** rho, w)
+    rules = [rule_values(*jacobi_rule(n, 1.0 / rho - 1.0)) for n in JACOBI_ORDERS]
+    pending = np.ones(expected.shape, dtype=bool)
+    reaching = [pending.sum(), pending.sum()]
+    for low, high in zip(rules, rules[1:]):
+        agree = pending & (np.abs(low - high) <= JACOBI_TOLERANCE * np.maximum(1.0, np.abs(high)))
+        expected[agree] = high[agree]
+        pending &= ~agree
+        reaching.append(pending.sum())
+    i1, i2 = np.nonzero(pending)
+    assert 0 < len(i1) < pending.size
+    assert np.all(np.abs(i1 - i2) <= 1)
+    assert np.array_equal(integrals, expected)
+    sizes = [n * n for n in JACOBI_ORDERS] + [len(t) ** 2]
+    assert evaluations == sum(r * s for r, s in zip(reaching, sizes))
 
 
 def test_symmetric_config_symmetric_result():

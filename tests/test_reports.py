@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import assert_same_text
 
+from skl.cli import main
 from skl.errors import UsageError
 from skl.reference import (
     TABLE1_ERRORS,
@@ -197,3 +200,14 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="CSV columns must have equal length"):
         _write_csv(path, "a,b", [np.arange(5.0), np.arange(3.0)])
     assert not path.exists()
+
+
+def test_bivariate_heatmap_ticks_follow_grid(tmp_path):
+    base = tmp_path / "bi5"
+    args = ["bivariate", "--m", "6", "--grid", "0.1:0.9:5", "--format", "both", "--out", str(base)]
+    assert main(args) == 0
+    ticks = re.findall(r'text-anchor="middle" font-size="12" font-family="Arial">([^<]*)<',
+                       base.with_suffix(".svg").read_text())
+    assert (ticks[0], ticks[-1]) == ("0.1", "0.9")
+    rows = np.loadtxt(base.with_suffix(".csv"), delimiter=",", skiprows=1)
+    assert (rows[0, 0], rows[-1, 0]) == (0.1, 0.9)
