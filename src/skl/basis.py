@@ -8,8 +8,9 @@ With ``M = m + q``, the weight attached to index ``i`` is
                          + C(M-2, i-2) * y**(i-1) * (1-y)**(M-i) ]
            +      lam  *   C(M, i)     * y**i     * (1-y)**(M-i)
 
-with the convention C(n, k) = 0 outside 0 <= k <= n.  The weights are
-nonnegative for lam in [0, 1] and sum to 1 at every y in [0, 1].
+with the convention C(n, k) = 0 outside 0 <= k <= n.  Points y and the
+weight lam both lie in [0, 1], where the weights are nonnegative and sum
+to 1; anything else raises DomainError.
 
 In terms of the Bernstein basis b_{n,k}(y) = C(n, k) y**k (1-y)**(n-k),
 
@@ -57,24 +58,20 @@ class BasisParams:
     """Parameters fixing one basis family.
 
     ``m`` is the approximation index, ``q`` the degree extension, and
-    ``lam`` the blending weight.  ``unchecked`` skips the domain guards on
-    ``lam`` (and downstream on evaluation points) for exploratory use.
+    ``lam`` the blending weight in [0, 1].
     """
 
     m: int
     q: int = 0
     lam: float = 0.0
-    unchecked: bool = False
 
     def __post_init__(self):
         if self.m < MIN_DEGREE:
             raise DomainError(f"m must be >= {MIN_DEGREE}")
         if self.q < 0:
             raise DomainError("q must be >= 0")
-        if not math.isfinite(self.lam):
-            raise DomainError("lam must be finite")
-        if not self.unchecked and not 0.0 <= self.lam <= 1.0:
-            raise DomainError("lam must lie in [0, 1]; pass unchecked=True to override")
+        if not 0.0 <= self.lam <= 1.0:
+            raise DomainError("lam must lie in [0, 1]")
 
     @property
     def degree(self) -> int:
@@ -96,41 +93,33 @@ def _log_binomials(n: int) -> np.ndarray:
 def bernstein_rows(n: int, ys) -> np.ndarray:
     """Bernstein weights b_{n,k}(y) = C(n, k) y**k (1-y)**(n-k), one row per point.
 
-    Each weight is exp(log C(n, k) + k log|y| + (n-k) log|1-y|), so no
+    Each weight is exp(log C(n, k) + k log y + (n-k) log(1-y)), so no
     factor overflows at any degree.  Rows at y = 0 and y = 1 are the exact
-    unit vectors e_0 and e_n; points outside [0, 1] get the sign of
-    y**k (1-y)**(n-k) multiplied back in.
+    unit vectors e_0 and e_n.  Points are checked as in :func:`basis_rows`.
     """
-    return _bernstein_window(n, np.atleast_1d(np.asarray(ys, dtype=float)), 0, n + 1)
+    return _bernstein_window(n, _checked_points(ys), 0, n + 1)
 
 
 def _bernstein_window(n: int, arr: np.ndarray, start, width: int) -> np.ndarray:
     """Row j holds b_{n,k}(arr[j]) for k = start_j .. start_j + width - 1.
 
-    ``start`` is 0 or one start per point.  Whole rows and the windows of
-    :func:`band` are the only windows: a point at 0 or 1 has its unit entry
-    in the window's first or last column, and a point outside [0, 1] has a
-    whole row.
+    ``start`` is 0 or one start per point in [0, 1].  Whole rows and the
+    windows of :func:`band` are the only windows, so a point at 0 or 1 has
+    its unit entry in the window's first or last column.
     """
     at_zero, at_one = arr == 0.0, arr == 1.0
     ends = at_zero | at_one
     y = np.where(ends, 0.5, arr)
     k = np.asarray(start, dtype=float)[..., None] + np.arange(width, dtype=float)
-    rows = np.multiply(k, np.log(np.abs(y[:, None])))
-    # log1p(-y) skips rounding 1 - y; past y = 1, 2 - y mirrors the point
-    # so the logarithm is still that of |1 - y|.
-    rows += np.multiply(n - k, np.log1p(-np.minimum(y, 2.0 - y)[:, None]))
+    rows = np.multiply(k, np.log(y[:, None]))
+    # log1p(-y) skips rounding 1 - y.
+    rows += np.multiply(n - k, np.log1p(-y[:, None]))
     logs = _log_binomials(n)
     rows += logs if width == n + 1 else _windows(logs, width)[start]
     np.exp(rows, out=rows)
     rows[ends] = 0.0
     rows[at_zero, 0] = 1.0
     rows[at_one, width - 1] = 1.0
-    below, above = arr < 0.0, arr > 1.0
-    if below.any() or above.any():
-        k = np.arange(width)
-        rows[below] *= np.where(k % 2, -1.0, 1.0)
-        rows[above] *= np.where((n - k) % 2, -1.0, 1.0)
     return rows
 
 
@@ -159,17 +148,9 @@ def basis_rows(params: BasisParams, ys) -> np.ndarray:
     b_{M,i} = (1-y)**2 b_i + 2y(1-y) b_{i-1} + y**2 b_{i-2}.  Blending the
     two legs gives p_i as three taps on b, each applied in place.
 
-    Non-finite points always raise.  Rows of points in [0, 1] cannot
-    overflow; ``unchecked`` points outside it are computed with floating
-    point warnings silenced and raise when their row is not finite.
+    A point that is not finite, or lies outside [0, 1], raises DomainError.
     """
-    arr, outside = _checked_points(params, ys)
-    if not outside.any():
-        return _blended_rows(params, arr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _blended_rows(params, arr)
-    _reject_overflow(arr, np.isfinite(rows).all(axis=1))
-    return rows
+    return _blended_rows(params, _checked_points(ys))
 
 
 def contract(params: BasisParams, ys, values) -> np.ndarray:
@@ -180,42 +161,33 @@ def contract(params: BasisParams, ys, values) -> np.ndarray:
 
     The three taps of :func:`basis_rows` move onto the values:
     sum_i p_i v_i = tap_0 sum_k b_k v_k + tap_1 sum_k b_k v_{k+1}
-    + tap_2 sum_k b_k v_{k+2} with b = b_{M-2}.  Points in [0, 1] sum b
-    only over their :func:`band`.  The band drops at most BAND_EPSILON of
-    b's mass, but steep values can weight that mass far above the kept
-    part.  Past the mode b falls away from the band, so no column outside
-    it holds more than the band's edge column next to it; the edges bound
-    the dropped mass, and with |tap_0| + |tap_1| + |tap_2| <= 1 + |lam|
-    and the largest |value| of a column they bound the dropped part of its
-    sum.  A point where that bound could reach the last bit of its banded
-    sum sums its whole row for that column, as do ``unchecked`` points
-    outside [0, 1], where no tail bound holds.  Each point's sums are row
-    sums of its own, column by column, so its value is the same bit for
-    bit whatever batch it arrives in and whatever other columns come
-    along.  Points are checked as in :func:`basis_rows`.
+    + tap_2 sum_k b_k v_{k+2} with b = b_{M-2}.  Each point sums b only
+    over its :func:`band`.  The band drops at most BAND_EPSILON of b's
+    mass, but steep values can weight that mass far above the kept part.
+    Past the mode b falls away from the band, so no column outside it
+    holds more than the band's edge column next to it; the edges bound the
+    dropped mass, and with tap_0 + tap_1 + tap_2 <= 1 + lam (the taps are
+    nonnegative and sum to 1) and the largest |value| of a column they
+    bound the dropped part of its sum.  A point where that bound could
+    reach the last bit of its banded sum sums its whole row for that
+    column.  Each point's sums are row sums of its own, column by column,
+    so its value is the same bit for bit whatever batch it arrives in and
+    whatever other columns come along.  Points are checked as in
+    :func:`basis_rows`.
     """
-    arr, outside = _checked_points(params, ys)
+    arr = _checked_points(ys)
     values = np.asarray(values, dtype=float)
     if values.ndim not in (1, 2) or len(values) != params.degree + 1:
         raise ValueError(f"need {params.degree + 1} values, one per basis index")
     columns = np.atleast_2d(values.T)
     n = params.degree - 2
-    inside = ~outside
-    y = arr[inside]
-    banded, tails = _tap_sums(params, y, columns, *band(n, y))
-    scale = (1.0 + abs(params.lam)) * np.abs(columns).max(axis=1, keepdims=True)
-    steep = ~(tails * scale <= ROUNDING * np.abs(banded))
-    out = banded
-    if outside.any() or steep.any():
-        out = np.empty((len(columns), len(arr)))
-        out[:, inside] = banded
-        whole = np.repeat(outside[None], len(columns), axis=0)
-        whole[:, inside] = steep
-        rows = whole.any(axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            full = _tap_sums(params, arr[rows], columns, np.zeros(rows.sum(), np.intp), n + 1)[0]
-        out[whole] = full[whole[:, rows]]
-        _reject_overflow(arr[outside], np.isfinite(out[:, outside]).all(axis=0))
+    out, tails = _tap_sums(params, arr, columns, *band(n, arr))
+    scale = (1.0 + params.lam) * np.abs(columns).max(axis=1, keepdims=True)
+    steep = ~(tails * scale <= ROUNDING * np.abs(out))
+    if steep.any():
+        rows = steep.any(axis=0)
+        full = _tap_sums(params, arr[rows], columns, np.zeros(rows.sum(), np.intp), n + 1)[0]
+        out[steep] = full[steep[:, rows]]
     return out[0] if values.ndim == 1 else out.T
 
 
@@ -225,23 +197,16 @@ def _windows(values: np.ndarray, width: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(values, shape, values.strides * 2, writeable=False)
 
 
-def _checked_points(params: BasisParams, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Points as a float array and the mask of those outside [0, 1]."""
+def _checked_points(ys) -> np.ndarray:
+    """Points as a float array; each must be finite and in [0, 1]."""
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
     finite = np.isfinite(arr)
     if not finite.all():
         raise DomainError(f"evaluation point {float(arr[~finite][0])!r} is not finite")
     outside = (arr < 0.0) | (arr > 1.0)
-    if outside.any() and not params.unchecked:
+    if outside.any():
         raise DomainError(f"evaluation point {float(arr[outside][0])!r} outside [0, 1]")
-    return arr, outside
-
-
-def _reject_overflow(arr: np.ndarray, finite: np.ndarray) -> None:
-    if not finite.all():
-        raise DomainError(
-            f"basis row at evaluation point {float(arr[~finite][0])!r} is not finite"
-        )
+    return arr
 
 
 def _taps(lam: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,7 +221,7 @@ def _taps(lam: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _blended_rows(params: BasisParams, arr: np.ndarray) -> np.ndarray:
     M = params.degree
-    low = bernstein_rows(M - 2, arr)
+    low = _bernstein_window(M - 2, arr, 0, M - 1)
     rows = np.zeros((len(arr), M + 1))
     scratch = np.empty_like(low)
     for shift, tap in enumerate(_taps(params.lam, arr[:, None])):
@@ -270,8 +235,8 @@ def _tap_sums(
     """Three shifted window sums per point and row of ``columns``, blended by the taps.
 
     Also returns each window's edge weights times the number of columns
-    beyond them, which bounds the mass of b outside a :func:`band` at a
-    point in [0, 1] (and is 0 for whole rows).  Each block's rows of b serve
+    beyond them, which bounds the mass of b outside a :func:`band` (and is
+    0 for whole rows).  Each block's rows of b serve
     every row of ``columns``; blocks of about BLOCK_CELLS window cells keep
     every temporary small, so the next block reuses its memory instead of
     faulting in fresh pages.

@@ -31,7 +31,6 @@ class BivariateConfig:
     lam1: float = 0.0
     lam2: float = 0.0
     rho: float = 1.0
-    unchecked: bool = False
 
     def __post_init__(self):
         self.axis1  # noqa: B018
@@ -39,15 +38,11 @@ class BivariateConfig:
 
     @property
     def axis1(self) -> OperatorConfig:
-        return OperatorConfig(
-            m=self.m1, q=self.q1, lam=self.lam1, rho=self.rho, unchecked=self.unchecked
-        )
+        return OperatorConfig(m=self.m1, q=self.q1, lam=self.lam1, rho=self.rho)
 
     @property
     def axis2(self) -> OperatorConfig:
-        return OperatorConfig(
-            m=self.m2, q=self.q2, lam=self.lam2, rho=self.rho, unchecked=self.unchecked
-        )
+        return OperatorConfig(m=self.m2, q=self.q2, lam=self.lam2, rho=self.rho)
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,7 @@ class SeparableFunction:
 
 def _as_points(ys) -> tuple[np.ndarray, bool]:
     arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    scalar = np.isscalar(ys) or np.asarray(ys).ndim == 0
-    return arr, scalar
+    return arr, np.ndim(ys) == 0
 
 
 def _generic_window_integrals(config: BivariateConfig, g: Callable) -> np.ndarray:

@@ -53,15 +53,6 @@ def _grid(text: str) -> tuple[float, float, int]:
         raise UsageError(f"bad grid {text!r}") from None
 
 
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"bad boolean {text!r}")
-
-
 #: RunConfig field -> (flag and config-file key, converter).  Flags use the
 #: same keys with dashes; the file accepts either spelling.
 _FIELD_PARSERS = {
@@ -83,7 +74,6 @@ _FIELD_PARSERS = {
     "y2": ("y2", float),
     "out": ("out", str),
     "format": ("format", str),
-    "unchecked": ("unchecked", _bool),
     "level": ("level", str),
     "thm": ("thm", int),
     "lipschitz_M": ("M", float),
@@ -103,7 +93,7 @@ _FIELD_HELP = {
     "e_set": "anchor set, e.g. 0,0.5,1",
 }
 
-_OPERATOR = ("m", "m_list", "q", "lam", "rho", "f", "grid", "out", "format", "unchecked")
+_OPERATOR = ("m", "m_list", "q", "lam", "rho", "f", "grid", "out", "format")
 _TENSOR = _OPERATOR + ("m1", "m2", "q1", "q2", "lam1", "lam2", "y1", "y2")
 
 #: Subcommand -> (help, flag fields).  ``figure`` and ``verify`` also take
@@ -150,10 +140,7 @@ def _build_parser() -> _Parser:
         p = parsers[command] = sub.add_parser(command, help=help_text)
         for field in fields:
             key, convert = _FIELD_PARSERS[field]
-            if convert is _bool:
-                p.add_argument(f"--{key}", dest=field, action="store_true", default=None)
-            else:
-                p.add_argument(f"--{key}", dest=field, type=convert, help=_FIELD_HELP.get(field))
+            p.add_argument(f"--{key}", dest=field, type=convert, help=_FIELD_HELP.get(field))
         p.add_argument("--config", dest="config_file")
     parsers["figure"].add_argument("figure_id", type=int, help="1, 2 or 3")
     parsers["verify"].add_argument("level", nargs="?", help="fast or full")

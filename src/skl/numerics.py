@@ -94,7 +94,8 @@ def jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     Jacobi matrix of the weight (1 - s)**0 * (1 + s)**beta on [-1, 1], mapped
     by x = (1 + s) / 2; the weights are the squared first eigenvector
     components, normalised to sum to 1.  Exact for polynomials of degree
-    2n - 1; beta > -1.
+    2n - 1; beta > -1.  A beta so large that the recurrence overflows, or so
+    close to -1 that 2 + beta rounds to 1, raises DomainError.
     """
     if n < 1:
         raise DomainError("quadrature order must be positive")
@@ -103,11 +104,14 @@ def jacobi_rule(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n, dtype=float)
     s = 2.0 * k + beta
     diag = np.empty(n)
-    # The general term beta**2 / ((2k + beta)(2k + beta + 2)) is 0/0 at
-    # k = 0, beta = 0; its limit for every beta is beta / (beta + 2).
-    diag[0] = beta / (beta + 2.0)
-    diag[1:] = beta * beta / (s * (s + 2.0))
-    off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # The general term beta**2 / ((2k + beta)(2k + beta + 2)) is 0/0 at
+        # k = 0, beta = 0; its limit for every beta is beta / (beta + 2).
+        diag[0] = beta / (beta + 2.0)
+        diag[1:] = beta * beta / (s * (s + 2.0))
+        off = 2.0 * k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise DomainError(f"no finite {n}-node Jacobi rule for beta = {beta!r}")
     eigenvalues, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     nodes = 0.5 * (eigenvalues + 1.0)
     weights = vectors[0] ** 2
@@ -133,14 +137,21 @@ def _window_estimate(
     the entries still rejected go on to the next rule, which is built only
     then.  Entries that the last pair rejects take ``_fallback_window_rule``.
     An entry's value depends only on itself, never on which other entries
-    climbed.
+    climbed.  A rho for which no rule exists raises DomainError naming rho.
     """
     beta = 1.0 / rho - 1.0
+
+    def rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            return jacobi_rule(n, beta)
+        except DomainError:
+            raise DomainError(f"rho = {rho!r} is too extreme for the window quadrature") from None
+
     entries = np.arange(count)
-    previous = integrate(*jacobi_rule(JACOBI_ORDERS[0], beta), entries)
+    previous = integrate(*rule(JACOBI_ORDERS[0]), entries)
     integrals = np.empty(count)
     for n in JACOBI_ORDERS[1:]:
-        current = integrate(*jacobi_rule(n, beta), entries)
+        current = integrate(*rule(n), entries)
         rejected = np.abs(previous - current) > JACOBI_TOLERANCE * np.maximum(1.0, np.abs(current))
         integrals[entries[~rejected]] = current[~rejected]
         entries, previous = entries[rejected], current[rejected]

@@ -159,7 +159,6 @@ class RunConfig:
     y2: float | None = None
     out: str | None = None
     format: str = "csv"
-    unchecked: bool = False
     level: str = "fast"
     thm: int | None = None
     lipschitz_M: float = 1.0
@@ -190,9 +189,7 @@ class RunConfig:
     def operator(self) -> OperatorConfig:
         if self.m is None:
             raise UsageError("this command needs --m")
-        return OperatorConfig(
-            m=self.m, q=self.q, lam=self.lam, rho=self.rho, unchecked=self.unchecked
-        )
+        return OperatorConfig(m=self.m, q=self.q, lam=self.lam, rho=self.rho)
 
     def bivariate(self) -> BivariateConfig:
         m1 = self.m1 if self.m1 is not None else self.m
@@ -207,7 +204,6 @@ class RunConfig:
             lam1=self.lam1 if self.lam1 is not None else self.lam,
             lam2=self.lam2 if self.lam2 is not None else self.lam,
             rho=self.rho,
-            unchecked=self.unchecked,
         )
 
     def grid_points(self, default_count: int = 101) -> Grid:

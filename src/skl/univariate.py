@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import BasisParams, basis_row, basis_rows, contract
 from .errors import DomainError, EvaluationError
+from .modulus import modulus_scan
 from .numerics import Grid, _window_estimate, evaluate_on
 
 
@@ -39,7 +40,6 @@ class OperatorConfig:
     q: int = 0
     lam: float = 0.0
     rho: float = 1.0
-    unchecked: bool = False
 
     def __post_init__(self):
         # BasisParams repeats the m/q/lam guards; run them eagerly here so a
@@ -50,7 +50,7 @@ class OperatorConfig:
 
     @property
     def basis(self) -> BasisParams:
-        return BasisParams(m=self.m, q=self.q, lam=self.lam, unchecked=self.unchecked)
+        return BasisParams(m=self.m, q=self.q, lam=self.lam)
 
     @property
     def degree(self) -> int:
@@ -192,8 +192,6 @@ def error_curve(config: OperatorConfig, f: Callable, grid: Grid) -> ErrorTable:
     modulus is estimated over the full sampling window so the bound stays
     valid near the right endpoint.
     """
-    from .modulus import modulus_scan
-
     approx = apply(config, f, grid.points)
     exact = evaluate_on(f, grid.points)
     errors = np.abs(approx - exact)

@@ -200,7 +200,7 @@ def test_criterion_6_bound_soundness():
         samples = surface_modulus(g, hi1=hi1, hi2=hi2, count=501)
         # Derivative bounds of y1^3 y2^2 over the sampling rectangle.
         l1, l2 = 3.0 * hi1**2 * hi2**2, 2.0 * hi1**3 * hi2
-        pad_bi = l1 * (hi1 / 500) + l2 * (hi2 / 500)
+        pad_bi = l1 * samples.step1 + l2 * samples.step2
         d1s = [window_deltas(config, float(y), 0.5)[0] for y in grid2.points]
         d2s = [window_deltas(config, 0.5, float(y))[1] for y in grid2.points]
         w1s = np.array([samples.omega1(d) for d in d1s])

@@ -130,27 +130,27 @@ def test_parameter_validation():
     BasisParams(m=2, q=0, lam=0.0)  # smallest legal degree
 
 
-def test_unchecked_skips_range_guards():
-    params = BasisParams(m=5, q=0, lam=0.5, unchecked=True)
-    row = basis_row(params, 1.1)  # outside [0,1], allowed when unchecked
-    assert np.all(np.isfinite(row))
-
-
-def test_unchecked_rejects_non_finite_rows():
-    # unchecked skips the [0, 1] range check only: non-finite points, and
-    # points far enough outside that their row overflows, still raise, and
-    # no floating point warning escapes (pytest turns those into errors).
-    params = BasisParams(m=5, unchecked=True)
+def test_non_finite_points_raise():
+    # Finiteness is checked before the range, and no floating point warning
+    # escapes (pytest turns those into errors).
+    params = BasisParams(m=5)
     with pytest.raises(DomainError, match="nan is not finite"):
         basis_rows(params, [float("nan")])
     for y in (math.inf, -math.inf):
         with pytest.raises(DomainError, match="is not finite"):
             basis_rows(params, [0.5, y])
-    with pytest.raises(DomainError, match="point 1e\\+300 is not finite"):
-        basis_rows(params, [0.5, 1e300])
-    # At high degree a modest point overflows: sum |b_k(1.7)| = 2.4**998.
-    with pytest.raises(DomainError, match="point 1.7 is not finite"):
-        basis_rows(BasisParams(m=1000, unchecked=True), [1.7])
+    for lam in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(DomainError, match="lam must lie in \\[0, 1\\]"):
+            BasisParams(m=5, lam=lam)
+
+
+def test_bernstein_rows_check_their_points():
+    assert np.array_equal(bernstein_rows(5, [0.0, 1.0]), np.eye(6)[[0, 5]])
+    for y in (1.2, -0.1):
+        with pytest.raises(DomainError, match="outside \\[0, 1\\]"):
+            bernstein_rows(5, [y])
+    with pytest.raises(DomainError, match="nan is not finite"):
+        bernstein_rows(5, [float("nan")])
 
 
 def _dense_contraction(params, ys, values):
@@ -208,10 +208,8 @@ def test_contract_columns_equal_single_column_calls(monkeypatch):
     # Beside a smooth column, the steep (i/(M+1))**200 column makes points
     # at m = 995 sum whole rows (see the test above), and only for that
     # column; at 0.2 and 0.77 the smooth column's whole-row sum differs in
-    # its last bit from its banded one.  At m = 40, unchecked points
-    # outside [0, 1] sum whole rows for every column.  Each column must
-    # still be the one-column result bit for bit, and each point its own
-    # batch's.
+    # its last bit from its banded one.  Each column must still be the
+    # one-column result bit for bit, and each point its own batch's.
     import skl.basis as basis_module
 
     whole_rows = []
@@ -225,7 +223,6 @@ def test_contract_columns_equal_single_column_calls(monkeypatch):
     monkeypatch.setattr(basis_module, "_tap_sums", spy)
     cases = (
         (BasisParams(m=2, lam=0.25), [0.0, 0.4, 1.0]),
-        (BasisParams(m=40, q=3, lam=0.6, unchecked=True), [-0.2, 0.3, 1.15, 1.0, 0.0]),
         (BasisParams(m=995, q=5, lam=0.5), [0.0, 0.001, 0.2, 0.3, 0.5, 0.77, 0.9, 1.0]),
     )
     for params, ys in cases:
@@ -240,7 +237,7 @@ def test_contract_columns_equal_single_column_calls(monkeypatch):
         assert np.array_equal(contract(params, ys, V[:, ::-1]), got[:, ::-1])
     # The banded degree: only the steep one-column calls took whole rows.
     whole_rows.clear()
-    params, ys = cases[2]
+    params, ys = cases[-1]
     contract(params, ys, V[:, 0])
     assert whole_rows == []
     contract(params, ys, V[:, 1])
@@ -270,20 +267,9 @@ def test_contract_at_the_smallest_degree():
     assert got == pytest.approx(_dense_contraction(params, points, values), abs=1e-15)
 
 
-def test_contract_unchecked_points_use_whole_rows():
-    # Outside [0, 1] the Hoeffding bound does not hold, so those points sum
-    # whole rows and agree with the dense contraction.  Their rows alternate
-    # in sign, so both sums lose digits in proportion to sum |p_i v_i|.  A
-    # row that overflows raises as it does in basis_rows.
-    params = BasisParams(m=40, q=3, lam=0.6, unchecked=True)
+def test_contract_rejects_points_outside_the_domain():
+    params = BasisParams(m=40, q=3, lam=0.6)
     values = np.linspace(-1.0, 2.0, params.degree + 1)
-    ys = np.array([-0.2, 0.3, 1.15, 1.0, 0.0])
-    got = contract(params, ys, values)
-    scale = (np.abs(basis_rows(params, ys)) * np.abs(values)).sum(axis=1)
-    assert np.all(np.abs(got - _dense_contraction(params, ys, values)) <= 1e-14 * scale)
-    assert got[1] == contract(params, [0.3], values)[0]
-    with pytest.raises(DomainError, match="point 1.7 is not finite"):
-        contract(BasisParams(m=1000, unchecked=True), [0.5, 1.7], np.ones(1001))
     with pytest.raises(DomainError, match="nan is not finite"):
         contract(params, [0.5, float("nan")], values)
     with pytest.raises(DomainError, match="1.2 outside"):

@@ -3,7 +3,7 @@ import warnings
 import pytest
 
 from skl import cli
-from skl.cli import _bool, _float_list, _grid, _int_list, build_config, main
+from skl.cli import _float_list, _grid, _int_list, build_config, main
 from skl.errors import UsageError
 from skl.functions import resolve_function
 from skl.reports import RunConfig
@@ -11,8 +11,7 @@ from skl.univariate import OperatorConfig, apply
 
 #: A valid value text per field converter, and per field for the strings.
 SAMPLE_TEXT = {
-    int: "3", float: "0.25", _int_list: "3,4", _float_list: "0,0.5", _grid: "0:1:5",
-    _bool: "yes",
+    int: "3", float: "0.25", _int_list: "3,4", _float_list: "0,0.5", _grid: "0:1:5"
 }
 STRING_TEXT = {"f": "y", "out": "result", "format": "svg", "level": "full"}
 
@@ -48,13 +47,13 @@ def test_config_file_layering(tmp_path):
         "# demo settings\n"
         "lambda = 0.5\n"
         "m_list = 10,20\n"   # underscore spelling accepted
-        "unchecked = yes\n"
+        "rho = 2\n"
         "\n"
     )
     cfg = build_config(["eval", "--m", "8", "--config", str(cfg_file)])
     assert cfg.lam == 0.5
     assert cfg.m_list == (10, 20)
-    assert cfg.unchecked is True
+    assert cfg.rho == 2.0
     # An explicit flag wins over the file.
     override = build_config(
         ["eval", "--m", "8", "--lambda", "0.25", "--config", str(cfg_file)]
@@ -70,6 +69,10 @@ def test_config_file_errors(tmp_path):
     bad_key.write_text("moon = full\n")
     with pytest.raises(UsageError):
         build_config(["eval", "--config", str(bad_key)])
+    # The domain is fixed: there is no key that lets points or lam leave it.
+    bad_key.write_text("unchecked = yes\n")
+    with pytest.raises(UsageError, match="unknown key 'unchecked'"):
+        build_config(["eval", "--m", "5", "--config", str(bad_key)])
     bad_line = tmp_path / "line.cfg"
     bad_line.write_text("lambda 0.5\n")
     with pytest.raises(UsageError):
@@ -113,20 +116,37 @@ def test_main_usage_failures(capsys, tmp_path):
         "error: degree m + q = 1105 exceeds the command-line limit of 1024",  # q = 5
         "error: degree m + q = 1100 exceeds the command-line limit of 1024",
     ]
-    # unchecked skips the range check only: a non-finite point, or one whose
-    # basis row overflows, fails with one line and no warning.
+    # A non-finite point, or one far outside [0, 1], fails with one line and
+    # no warning.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for u in ("nan", "inf", "1e300"):
-            assert main(["eval", "--m", "5", f"--u={u}", "--unchecked"]) == 1
+            assert main(["eval", "--m", "5", f"--u={u}"]) == 1
     assert not caught
-    unchecked = capsys.readouterr().err
-    assert unchecked.splitlines() == [
+    points = capsys.readouterr().err
+    assert points.splitlines() == [
         "error: evaluation point nan is not finite",
         "error: evaluation point inf is not finite",
-        "error: basis row at evaluation point 1e+300 is not finite",
+        "error: evaluation point 1e+300 outside [0, 1]",
     ]
-    assert (err + divide + arithmetic + limits + unchecked).count("error:") == 19
+    assert (err + divide + arithmetic + limits + points).count("error:") == 19
+    # No flag lets a point leave [0, 1].
+    assert main(["eval", "--m", "5", "--u", "0.3", "--unchecked"]) == 1
+    assert capsys.readouterr().err.count("error:") == 1
+    # A rho with no Gauss-Jacobi rule (its recurrence overflows, or
+    # 2 + beta rounds to 1, or beta = 1/rho - 1 rounds to -1) is refused by
+    # name; the extremes that have one still evaluate.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for rho in ("1e-300", "1e-160", "5e-324", "1e16", "1e300"):
+            assert main(["eval", "--m", "5", "--u", "0.5", "--rho", rho]) == 1
+            line, = capsys.readouterr().err.splitlines()
+            assert line == f"error: rho = {float(rho)!r} is too extreme for the window quadrature"
+    assert not caught
+    kept = {"1e-20": "3.83912037037", "1e-5": "3.83911814815", "1e15": "3.52199074074"}
+    for rho, value in kept.items():
+        assert main(["eval", "--m", "5", "--u", "0.5", "--rho", rho]) == 0
+        assert capsys.readouterr().out.strip() == value
     # The library itself takes the degree the command line refuses.
     assert apply(OperatorConfig(m=1100), resolve_function("e0"), 0.5) == pytest.approx(
         1.0, abs=1e-12
@@ -170,8 +190,7 @@ def test_field_table_is_the_command_surface(tmp_path):
         for field in fields:
             key, convert = cli._FIELD_PARSERS[field]
             text = _sample(field)
-            value = [] if convert is _bool else [text]
-            config = build_config([command, *positional, f"--{key}", *value])
+            config = build_config([command, *positional, f"--{key}", text])
             assert getattr(config, field) == convert(text), (command, field)
             reached.add(field)
     assert reached == set(cli._FIELD_PARSERS)

@@ -36,6 +36,11 @@ def test_jacobi_rule_exact_for_high_degree():
             assert value == pytest.approx((beta + 1.0) / (beta + k + 1.0), rel=1e-13)
     with pytest.raises(DomainError):
         jacobi_rule(32, -1.0)
+    # beta**2 overflows, 2 + beta rounds to 1, or beta is infinite: no
+    # finite recurrence, refused without a floating point warning.
+    for beta in (1e300, 1.0 / 1e16 - 1.0, math.inf):
+        with pytest.raises(DomainError, match="no finite 8-node Jacobi rule"):
+            jacobi_rule(8, beta)
 
 
 def test_composite_nodes_cover_unit_interval():
