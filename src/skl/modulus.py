@@ -4,11 +4,15 @@ A modulus is estimated by sampling the function on a uniform grid and taking
 the largest max-min range over every window of points whose span stays within
 delta.  One kernel serves the univariate modulus and both partial moduli: it
 finds every window's max and min along one axis by log-step doubling, so a
-query costs O(n log window) vectorized work and keeps no state between calls.
-A surface runs it stripe by stripe, sized by the shared cell budget
-``numerics.BLOCK_CELLS``: each stripe holds every sample along the window
-axis and as many lines across it as fit, copied contiguous, so the doubling
-temporaries stay in cache; a 1-D sample is a single stripe.
+sweep costs O(n log window) vectorized work.  It runs stripe by stripe, sized
+by the shared cell budget ``numerics.BLOCK_CELLS``: each stripe holds every
+sample along the window axis and as many lines across it as fit, copied
+contiguous, so the doubling temporaries stay in cache; a 1-D sample is a
+single stripe.  A surface also keeps, from its build, each line's largest
+jump between neighbours: no window of w samples on a line spans more than
+w - 1 such jumps, so a query sweeps the line with the largest bound first
+and then only the lines whose bound can still reach that line's range.  The
+answer is the full sweep's float, since the lines left out cannot exceed it.
 Grid estimates are lower bounds of the true modulus; callers that need a
 guaranteed upper bound must pad by a Lipschitz-times-step term.
 """
@@ -16,7 +20,7 @@ guaranteed upper bound must pad by a Lipschitz-times-step term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -82,6 +86,56 @@ def _max_window_range(values: np.ndarray, window: int, axis: int = 0) -> float:
     return float(np.max([_stripe_range(stripe, window) for stripe in stripes]))
 
 
+def _line_jumps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest |difference of neighbours| on each line along axis 0 and along axis 1.
+
+    Reads ``values`` in place, a block of rows of at most BLOCK_CELLS samples
+    at a time plus the next block's first row, which pairs across the edge;
+    every block's differences reuse one buffer.  A NaN sample makes the
+    entries of both its lines nan.
+    """
+    rows, cols = values.shape
+    jumps1 = np.zeros(cols)
+    jumps2 = np.empty(rows)
+    height = max(1, BLOCK_CELLS // cols)
+    buffer = np.empty((height, cols))
+    # A difference too large for a float is an inf jump, still a valid bound.
+    with np.errstate(over="ignore"):
+        for lo in range(0, rows, height):
+            block = values[lo : lo + height + 1]
+            down = buffer[: len(block) - 1]
+            np.subtract(block[1:], block[:-1], out=down)
+            np.maximum(jumps1, np.abs(down, out=down).max(axis=0, initial=0.0), out=jumps1)
+            block = block[:height]
+            right = buffer[: len(block), : cols - 1]
+            np.subtract(block[:, 1:], block[:, :-1], out=right)
+            jumps2[lo : lo + height] = np.abs(right, out=right).max(axis=1, initial=0.0)
+    jumps1.setflags(write=False)
+    jumps2.setflags(write=False)
+    return jumps1, jumps2
+
+
+def _pruned_range(values: np.ndarray, jumps: np.ndarray, window: int, axis: int) -> float:
+    """``_max_window_range`` over only the lines whose jump bound reaches the best line's range.
+
+    A run of w samples on a line whose largest jump is s spans at most
+    (w - 1) * s; the factor 1 + 2**-50 covers the rounding of the jumps, the
+    product and the kernel's subtraction.  A nan jump is never below the
+    floor, so a NaN sample's line is always swept and still yields nan.
+    """
+    window = min(window, values.shape[axis])
+    if window <= 1:
+        return 0.0
+    with np.errstate(over="ignore"):
+        bounds = (window - 1) * jumps * (1.0 + 2.0 ** -50)
+    across = 1 - axis
+    floor = _max_window_range(np.take(values, [np.argmax(bounds)], axis=across), window, axis)
+    keep = ~(bounds < floor)
+    if keep.all():
+        return _max_window_range(values, window, axis)
+    return _max_window_range(np.compress(keep, values, axis=across), window, axis)
+
+
 @dataclass(frozen=True)
 class ModulusScan:
     """Sampled function values prepared for repeated modulus queries.
@@ -126,7 +180,11 @@ class SurfaceModulus:
     """Sampled bivariate function prepared for partial-modulus queries.
 
     Build once per function and rectangle, then query many delta pairs; the
-    sampling cost dominates and is paid a single time.
+    sampling cost dominates and is paid a single time.  Construction also
+    records each line's largest jump between neighbours: ``jumps1`` for the
+    columns (along axis 0, which ``omega1`` sweeps) and ``jumps2`` for the
+    rows, so a query skips the lines whose bound cannot reach its answer.
+    ``values`` must not change after construction.
     """
 
     lo1: float
@@ -134,6 +192,13 @@ class SurfaceModulus:
     lo2: float
     hi2: float
     values: np.ndarray
+    jumps1: np.ndarray = field(init=False, repr=False, compare=False)
+    jumps2: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        jumps1, jumps2 = _line_jumps(self.values)
+        object.__setattr__(self, "jumps1", jumps1)
+        object.__setattr__(self, "jumps2", jumps2)
 
     @property
     def step1(self) -> float:
@@ -145,11 +210,11 @@ class SurfaceModulus:
 
     def omega1(self, delta: float) -> float:
         """Modulus in the first coordinate with the second frozen."""
-        return _max_window_range(self.values, _window_length(delta, self.step1), axis=0)
+        return _pruned_range(self.values, self.jumps1, _window_length(delta, self.step1), axis=0)
 
     def omega2(self, delta: float) -> float:
         """Modulus in the second coordinate with the first frozen."""
-        return _max_window_range(self.values, _window_length(delta, self.step2), axis=1)
+        return _pruned_range(self.values, self.jumps2, _window_length(delta, self.step2), axis=1)
 
 
 def surface_modulus(
@@ -166,9 +231,7 @@ def surface_modulus(
     _check_finite(lo1=lo1, hi1=hi1, lo2=lo2, hi2=hi2)
     if hi1 <= lo1 or hi2 <= lo2:
         raise DomainError("each hi must exceed its lo")
-    X, Y = np.meshgrid(
-        np.linspace(lo1, hi1, count), np.linspace(lo2, hi2, count), indexing="ij"
-    )
-    values = evaluate_on(g, X, Y)
+    xs, ys = np.linspace(lo1, hi1, count), np.linspace(lo2, hi2, count)
+    values = evaluate_on(g, xs[:, None], ys[None, :])
     values.setflags(write=False)
     return SurfaceModulus(lo1=lo1, hi1=hi1, lo2=lo2, hi2=hi2, values=values)

@@ -377,7 +377,8 @@ def cmd_moments(config: RunConfig):
     for family in rows.values():
         for name, (closed, oracle) in family.items():
             print(f"{name} closed {_sig(closed)} oracle {_sig(oracle)}")
-    raw_gap = max(abs(closed - oracle) for closed, oracle in rows["uni-raw"].values())
+    # np.max, unlike max, keeps a NaN gap wherever it falls.
+    raw_gap = np.max([abs(closed - oracle) for closed, oracle in rows["uni-raw"].values()])
     print(f"max raw discrepancy {_sig(raw_gap)}")
     print(f"central identity residual {_sig(identity_residual(op, config.u))}")
     return rows

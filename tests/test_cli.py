@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +256,25 @@ def test_main_moments_fixed_point(capsys):
     # The first moment is exactly the point itself for this configuration.
     assert "e1 closed 0.5 oracle 0.5" in out
     assert "central identity residual" in out
+
+
+def test_main_moments_max_gap_keeps_nan(capsys):
+    # At rho = 1e300 the transcribed e2 overflows to nan; the maximum gap
+    # must say so, not fall back to the finite rows.  The audit never gates.
+    assert main(["moments", "--m", "5", "--u", "0.5", "--rho", "1e300"]) == 0
+    out = capsys.readouterr().out
+    assert "e2 closed nan" in out
+    assert "max raw discrepancy nan\n" in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["eval", "--m", "20", "--u", "0.5"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "skl", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert main(argv) == 0
+    assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_main_bounds_thm33_dominates_error(capsys):

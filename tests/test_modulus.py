@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from skl.errors import DomainError
+from skl.functions import resolve_function
 from skl.modulus import ModulusScan, SurfaceModulus, modulus_scan, surface_modulus
-from skl.numerics import BLOCK_CELLS
+from skl.numerics import BLOCK_CELLS, evaluate_on
 
 #: omega(u^2; 0.1) on [0,1] is exactly 2*0.1 - 0.1^2.
 OMEGA_SQUARE_TENTH = 0.19
@@ -99,11 +100,22 @@ def test_surface_modulus_matches_brute_force(rng):
     # (37, 1000) and (1000, 37) split the lines along each axis into more than
     # one stripe of at most BLOCK_CELLS samples, the last one ragged; (19, 11)
     # is a single stripe.
-    for shape in ((19, 11), (37, 1000), (1000, 37)):
-        values = rng.uniform(-1.0, 1.0, size=shape)
+    surfaces = [rng.uniform(-1.0, 1.0, size=shape) for shape in ((19, 11), (37, 1000), (1000, 37))]
+    y = np.linspace(0.0, 1.0, 501)
+    # Smooth surfaces, where the jump bounds leave most lines unswept.
+    surfaces += [y[:, None] ** 3 * y[None, :] ** 2, (y[:, None] + y[None, :]) ** 3]
+    # Constant along axis 1: every line has the same jump bound and range.
+    surfaces.append(y[:, None] + 0.0 * y[None, :])
+    # Column j has the exact slope (a permutation of j) * 2**-10, so w - 1
+    # times its largest jump is its range exactly and rounding alone decides
+    # which columns are kept.
+    surfaces.append(np.arange(257.0)[:, None] * (rng.permutation(257) * 2.0 ** -10)[None, :])
+    for values in surfaces:
         sm = SurfaceModulus(lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0, values=values)
+        assert np.array_equal(sm.jumps1, np.abs(np.diff(values, axis=0)).max(axis=0))
+        assert np.array_equal(sm.jumps2, np.abs(np.diff(values, axis=1)).max(axis=1))
         for axis, query, step in ((0, sm.omega1, sm.step1), (1, sm.omega2, sm.step2)):
-            n = shape[axis]
+            n = values.shape[axis]
             for window in (1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, n, n + 4):
                 # delta strictly inside ((window-1)*step, window*step) selects
                 # exactly `window` consecutive samples along the axis.
@@ -113,14 +125,37 @@ def test_surface_modulus_matches_brute_force(rng):
 def test_surface_modulus_keeps_nan():
     n, width = 400, BLOCK_CELLS // 400
     assert n > 2 * width  # at least three stripes on each axis
+    surfaces = []
     for k in (0, width - 1, width, n // 2, n - 1):
         # Sample (k, k) lies in the first stripe, on either side of the first
         # edge between stripes, in a middle one or in the last, on both axes.
         values = np.zeros((n, n))
         values[k, k] = np.nan
+        surfaces.append(values)
+    # Row 0 and column 0 of y1^3 y2^2 are flat: read as a small jump, a NaN
+    # there would leave its line unswept on both axes.
+    y = np.linspace(0.0, 1.0, 501)
+    values = y[:, None] ** 3 * y[None, :] ** 2
+    values[0, 0] = np.nan
+    surfaces.append(values)
+    for values in surfaces:
         sm = SurfaceModulus(lo1=0.0, hi1=1.0, lo2=0.0, hi2=1.0, values=values)
         assert np.isnan(sm.omega1(0.05))
         assert np.isnan(sm.omega2(0.05))
+
+
+def test_surface_sampling_matches_meshgrid():
+    # An expression, a separable product, and a function whose array call
+    # collapses to a scalar, so it is sampled point by point.
+    targets = (
+        resolve_function("y1*y2 + y2^2", arity=2),
+        resolve_function("fig3-poly", arity=2),
+        lambda a, b: float(np.sum(a * a + b)),
+    )
+    for g in targets:
+        sm = surface_modulus(g, hi1=1.2, hi2=0.8, count=101)
+        grid = np.meshgrid(np.linspace(0.0, 1.2, 101), np.linspace(0.0, 0.8, 101), indexing="ij")
+        assert sm.values.tobytes() == evaluate_on(g, *grid).tobytes()
 
 
 def test_surface_modulus_rectangle():
